@@ -36,16 +36,16 @@
 //! stage per query — never per row — so the ratio must stay <= 1.03
 //! (criterion_9, intra-run like criterion_7/8).
 //!
-//! The `pipeline_10k_columnar_w1` / `pipeline_10k_rowmajor_w1` pair
-//! runs an arithmetic-heavy **batchable** chain (select/project only —
-//! probe stages break batchability, so the join spine above never
-//! routes columnar) over the same homogeneous-Int 10k table, differing
-//! only in `AuConfig::columnar`. Columnar must be >= 1.3x over the
-//! row-major batch path at one worker (criterion_11, intra-run and
-//! core-count-free): the win is op-at-a-time vector kernels over
-//! contiguous typed lanes instead of per-row register slots of boxed
-//! `RangeValue`s. Byte-identity of the two paths is property-tested in
-//! tests/columnar_props.rs.
+//! The `pipeline_10k_columnar_w1` / `pipeline_10k_arith_interp_w1`
+//! pair runs an arithmetic-heavy **batchable** chain (select/project
+//! only — probe stages break batchability, so the join spine above
+//! never routes columnar) over the same homogeneous-Int 10k table,
+//! differing only in `AuConfig::compiled`. Columnar must be >= 1.75x
+//! over the per-row `Expr`-tree interpreter at one worker
+//! (criterion_11, intra-run and core-count-free): the win is
+//! op-at-a-time vector kernels over contiguous typed lanes instead of a
+//! recursive tree walk per row over boxed `RangeValue`s. Byte-identity
+//! of the two paths is property-tested in tests/columnar_props.rs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -142,14 +142,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(eval_au_traced(&audb, &q, &traced_cfg).unwrap()))
     });
 
-    // columnar vs row-major batch execution on a fully batchable
-    // arithmetic chain (criterion_11, intra-run ratio): same compiled
-    // programs, same shard driver — only the evaluation substrate
-    // differs (typed lane kernels vs per-row register slots)
+    // columnar vs interpreted execution on a fully batchable
+    // arithmetic chain (criterion_11, intra-run ratio): same chain,
+    // same shard driver — only the evaluation substrate differs (typed
+    // lane kernels vs a per-row Expr-tree walk)
     let bq = batchable_chain();
-    let rowmajor = AuConfig { columnar: false, workers: Some(1), ..AuConfig::default() };
-    g.bench_function("pipeline_10k_rowmajor_w1", |b| {
-        b.iter(|| black_box(eval_au(&audb, &bq, &rowmajor).unwrap()))
+    let arith_interp = AuConfig { compiled: false, workers: Some(1), ..AuConfig::default() };
+    g.bench_function("pipeline_10k_arith_interp_w1", |b| {
+        b.iter(|| black_box(eval_au(&audb, &bq, &arith_interp).unwrap()))
     });
     let columnar = AuConfig { workers: Some(1), ..AuConfig::default() };
     g.bench_function("pipeline_10k_columnar_w1", |b| {

@@ -76,13 +76,12 @@ pub fn git_rev() -> String {
 pub fn config_fingerprint(cfg: &AuConfig) -> String {
     let opt = |v: Option<usize>| v.map_or_else(|| "auto".to_string(), |n| n.to_string());
     format!(
-        "workers={} shards={} pipeline={} compiled={} columnar={} adaptive={} join_compress={} \
-         agg_compress={} rev={}",
+        "workers={} shards={} pipeline={} compiled={} adaptive={} join_compress={} agg_compress={} \
+         rev={}",
         opt(cfg.workers),
         opt(cfg.shards),
         cfg.pipeline,
         cfg.compiled,
-        cfg.columnar,
         cfg.adaptive,
         cfg.join_compress.map_or_else(|| "off".to_string(), |n| n.to_string()),
         cfg.agg_compress.map_or_else(|| "off".to_string(), |n| n.to_string()),
@@ -188,14 +187,7 @@ mod tests {
     fn fingerprint_names_every_knob() {
         let cfg = AuConfig { workers: Some(4), join_compress: Some(64), ..AuConfig::default() };
         let fp = config_fingerprint(&cfg);
-        for part in [
-            "workers=4",
-            "shards=auto",
-            "pipeline=true",
-            "columnar=true",
-            "join_compress=64",
-            "rev=",
-        ] {
+        for part in ["workers=4", "shards=auto", "pipeline=true", "join_compress=64", "rev="] {
             assert!(fp.contains(part), "missing {part} in {fp}");
         }
     }

@@ -10,7 +10,8 @@
 //! the uncertain-data hot loop flat), so the query engines compile each
 //! select/project/predicate stage once per chain and run the program
 //! per row — or, for select/project-only chains, one op at a time over
-//! a whole shard of rows ([`Program::eval_range_batch`]).
+//! the typed column lanes of a whole chunk of rows
+//! ([`Program::eval_range_lanes`]).
 //!
 //! Ops address their operands *directly* ([`Src`]): a register for
 //! compound sub-results, a tuple column, or a pooled constant — leaf
@@ -651,206 +652,35 @@ impl Program {
         self.det_output(0, tuple, regs).as_bool()
     }
 
-    // ---- batch range evaluation -----------------------------------------
-
-    /// Evaluate the program over a whole batch of rows (a shard), **one
-    /// op at a time over every row** — register *columns* instead of a
-    /// register file, the flat-columnar execution shape.
-    ///
-    /// Error semantics are row-major, identical to evaluating the rows
-    /// one after another: a row that errors is poisoned (its later ops
-    /// are skipped) and after the sweep the error of the *earliest* row
-    /// is returned. On `Ok`, every output is fully populated
-    /// ([`RangeBatch::output`]).
-    pub fn eval_range_batch(
-        &self,
-        rows: &[&[RangeValue]],
-        batch: &mut RangeBatch,
-    ) -> Result<(), EvalError> {
-        self.eval_range_batch_lenient(rows, batch, None)?;
-        if let Some(e) = batch.errs.iter().flatten().next() {
-            return Err(e.clone());
-        }
-        Ok(())
-    }
-
-    /// [`Program::eval_range_batch`] without the final error check:
-    /// erroring rows are left poisoned in the batch
-    /// ([`RangeBatch::row_error`]) and every clean row's outputs are
-    /// populated. Chain-level batching uses this to carry poison across
-    /// several program runs and report the earliest *source* row's
-    /// error only once the whole chain has been applied.
-    ///
-    /// Range mode only: det programs short-circuit via jumps, which is
-    /// per-row control flow (and skipping is semantically load-bearing —
-    /// the skipped operand may error).
-    ///
-    /// `cancel` is the cooperative cancellation token of the running
-    /// query (if any): it is checked between op sweeps, so a cancelled
-    /// long batch stops within one op's row loop instead of finishing
-    /// the whole program. A cancellation verdict poisons nothing — the
-    /// batch is simply abandoned.
-    pub fn eval_range_batch_lenient(
-        &self,
-        rows: &[&[RangeValue]],
-        batch: &mut RangeBatch,
-        cancel: Option<&crate::govern::CancelToken>,
-    ) -> Result<(), crate::govern::ExecError> {
-        assert_eq!(self.mode, Mode::Range, "batch evaluation requires a range program");
-        let n = rows.len();
-        batch.reset(self.nregs, n);
-        let cols = &mut batch.cols;
-        let errs = &mut batch.errs;
-
-        // Resolve an operand for row `i` against the register columns.
-        macro_rules! src {
-            ($s:expr, $i:expr, $cols:expr) => {
-                match $s {
-                    Src::Reg(r) => &$cols[*r as usize][$i],
-                    Src::Col(c) => &rows[$i][*c as usize],
-                    Src::Const(k) => &self.consts_range[*k as usize],
-                }
-            };
-        }
-        // `dst` is always distinct from the operand registers (the
-        // lowerer never reuses registers), so take the destination
-        // column out, fill it, and put it back — no aliasing.
-        macro_rules! unary {
-            ($a:expr, $dst:expr, |$x:ident| $body:expr) => {{
-                let mut d = std::mem::take(&mut cols[*$dst as usize]);
-                for i in 0..n {
-                    if errs[i].is_some() {
-                        continue;
-                    }
-                    let $x = src!($a, i, cols);
-                    match $body {
-                        Ok(v) => d[i] = v,
-                        Err(e) => errs[i] = Some(e),
-                    }
-                }
-                cols[*$dst as usize] = d;
-            }};
-        }
-        macro_rules! binary {
-            ($a:expr, $b:expr, $dst:expr, |$x:ident, $y:ident| $body:expr) => {{
-                let mut d = std::mem::take(&mut cols[*$dst as usize]);
-                for i in 0..n {
-                    if errs[i].is_some() {
-                        continue;
-                    }
-                    let ($x, $y) = (src!($a, i, cols), src!($b, i, cols));
-                    match $body {
-                        Ok(v) => d[i] = v,
-                        Err(e) => errs[i] = Some(e),
-                    }
-                }
-                cols[*$dst as usize] = d;
-            }};
-        }
-
-        for op in &self.ops {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
-            match op {
-                Op::CheckCol { col } => {
-                    let c = *col as usize;
-                    for i in 0..n {
-                        if errs[i].is_none() && c >= rows[i].len() {
-                            errs[i] = Some(EvalError::UnknownColumn(c));
-                        }
-                    }
-                }
-                Op::RangeAnd { a, b, dst } => binary!(a, b, dst, |x, y| range_and(x, y)),
-                Op::RangeOr { a, b, dst } => binary!(a, b, dst, |x, y| range_or(x, y)),
-                Op::RangeNot { a, dst } => unary!(a, dst, |x| range_not(x)),
-                Op::RangeEq { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_eq(x, y)))
-                }
-                Op::RangeLeq { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_leq(x, y)))
-                }
-                Op::RangeLt { a, b, dst } => {
-                    binary!(a, b, dst, |x, y| Ok::<_, EvalError>(range_lt(x, y)))
-                }
-                Op::RangeAdd { a, b, dst } => binary!(a, b, dst, |x, y| range_add(x, y)),
-                Op::RangeSub { a, b, dst } => binary!(a, b, dst, |x, y| range_sub(x, y)),
-                Op::RangeMul { a, b, dst } => binary!(a, b, dst, |x, y| range_mul(x, y)),
-                Op::RangeDiv { a, b, dst } => binary!(a, b, dst, |x, y| range_div(x, y)),
-                Op::RangeNeg { a, dst } => unary!(a, dst, |x| range_neg(x)),
-                Op::RangeCheckBool3 { src } => {
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        if let Err(e) = src!(src, i, cols).as_bool3() {
-                            errs[i] = Some(e);
-                        }
-                    }
-                }
-                Op::RangeIfMerge { c, t, e, dst } => {
-                    let mut d = std::mem::take(&mut cols[*dst as usize]);
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        let null = RangeValue::certain(Value::Null);
-                        let tv = match t {
-                            Src::Reg(r) => {
-                                std::mem::replace(&mut cols[*r as usize][i], null.clone())
-                            }
-                            _ => src!(t, i, cols).clone(),
-                        };
-                        let ev = match e {
-                            Src::Reg(r) => std::mem::replace(&mut cols[*r as usize][i], null),
-                            _ => src!(e, i, cols).clone(),
-                        };
-                        match range_if_merge(src!(c, i, cols), tv, ev) {
-                            Ok(v) => d[i] = v,
-                            Err(e2) => errs[i] = Some(e2),
-                        }
-                    }
-                    cols[*dst as usize] = d;
-                }
-                Op::RangeUncertain { l, s, u, dst } => {
-                    let mut d = std::mem::take(&mut cols[*dst as usize]);
-                    for i in 0..n {
-                        if errs[i].is_some() {
-                            continue;
-                        }
-                        match range_uncertain(src!(l, i, cols), src!(s, i, cols), src!(u, i, cols))
-                        {
-                            Ok(v) => d[i] = v,
-                            Err(e2) => errs[i] = Some(e2),
-                        }
-                    }
-                    cols[*dst as usize] = d;
-                }
-                _ => unreachable!("det op in a range program"),
-            }
-        }
-        Ok(())
-    }
-
     // ---- columnar (lane) range evaluation -------------------------------
 
-    /// [`Program::eval_range_batch_lenient`] over typed value lanes:
-    /// the true column-at-a-time execution shape. Each op first tries
-    /// its typed vector kernel ([`crate::lane`]) — a tight loop over
-    /// contiguous `i64`/`f64`/`bool` component arrays with no per-cell
-    /// enum dispatch — and **demotes** to the shared `range_*`
-    /// combinators (into a boxed lane) whenever operand shapes or a
-    /// produced value leave the homogeneous type lattice. Kernels are
-    /// exact refinements of the combinators, so results, error
-    /// classification, and error *positions* are identical to the
-    /// row-major batch path by construction.
+    /// Evaluate the program over a whole chunk of rows held as typed
+    /// value lanes, **one op at a time over every row** — the
+    /// column-at-a-time execution shape. Each op first tries its typed
+    /// vector kernel ([`crate::lane`]) — a tight loop over contiguous
+    /// `i64`/`f64`/`bool` component arrays with no per-cell enum
+    /// dispatch — and **demotes** to the shared `range_*` combinators
+    /// (into a boxed lane) whenever operand shapes or a produced value
+    /// leave the homogeneous type lattice. Kernels are exact
+    /// refinements of the combinators, so per row, results, error
+    /// classification, and error *positions* are identical to
+    /// [`Program::eval_range`] by construction.
     ///
-    /// `cols` are the input attribute lanes (each of length `nrows`);
-    /// poisoned rows keep their error in the batch and are skipped by
-    /// later generic sweeps (typed kernels may compute them — typed
-    /// lanes always hold genuine domain values, so the extra work is
-    /// harmless). Outputs are read back via [`LaneBatch::output_lane`]
-    /// / [`LaneBatch::take_output`].
+    /// Errors are row-local: a row that errors is *poisoned* (its slot
+    /// in the batch, [`LaneBatch::row_error`]) and skipped by later
+    /// generic sweeps (typed kernels may compute it — typed lanes
+    /// always hold genuine domain values, so the extra work is
+    /// harmless). Callers carry poison across several program runs and
+    /// report the earliest *source* row's error once the whole chain
+    /// has been applied. Range mode only: det programs short-circuit
+    /// via jumps, which is per-row control flow (and skipping is
+    /// semantically load-bearing — the skipped operand may error).
+    ///
+    /// `cols` are the input attribute lanes (each of length `nrows`).
+    /// Outputs are read back via [`LaneBatch::output_lane`]. `cancel`
+    /// is the running query's cooperative cancellation token (if any),
+    /// checked between op sweeps; a cancellation verdict poisons
+    /// nothing — the batch is simply abandoned.
     pub fn eval_range_lanes(
         &self,
         cols: &[LaneSlice<'_>],
@@ -928,8 +758,8 @@ impl Program {
             }
             match op {
                 Op::CheckCol { col } => {
-                    // Columnar rows share one arity, so the row batch's
-                    // per-row bounds probe collapses to a single test.
+                    // Lane rows share one arity, so the per-row bounds
+                    // probe collapses to a single test.
                     let c = *col as usize;
                     if c >= cols.len() {
                         for e in errs.iter_mut() {
@@ -1115,63 +945,7 @@ impl LaneBatch {
         }
     }
 
-    /// Steal an output's register lane — the zero-copy projection path
-    /// when no row of the chunk is poisoned. `None` when the output
-    /// addresses an input column or constant (the caller gathers or
-    /// copies those).
-    pub fn take_output(&mut self, prog: &Program, out: usize) -> Option<ValueLane> {
-        match prog.outputs[out] {
-            Src::Reg(r) => Some(std::mem::take(&mut self.regs[r as usize])),
-            _ => None,
-        }
-    }
-
     /// The poison slot of row `i` after a lane evaluation.
-    pub fn row_error(&self, i: usize) -> Option<&EvalError> {
-        self.errs[i].as_ref()
-    }
-}
-
-/// Reusable scratch for [`Program::eval_range_batch`]: one register
-/// *column* per register plus the per-row poison slots.
-#[derive(Default)]
-pub struct RangeBatch {
-    cols: Vec<Vec<RangeValue>>,
-    errs: Vec<Option<EvalError>>,
-}
-
-impl RangeBatch {
-    fn reset(&mut self, nregs: usize, nrows: usize) {
-        let null = RangeValue::certain(Value::Null);
-        if self.cols.len() < nregs {
-            self.cols.resize_with(nregs, Vec::new);
-        }
-        for c in &mut self.cols[..nregs] {
-            c.resize(nrows, null.clone());
-        }
-        self.errs.clear();
-        self.errs.resize(nrows, None);
-    }
-
-    /// The `out`-th output of batch row `i` (its own tuple is needed
-    /// because outputs may address input columns in place); valid after
-    /// an `Ok` batch evaluation (or, after a lenient one, at
-    /// non-poisoned rows).
-    pub fn output<'r>(
-        &'r self,
-        prog: &'r Program,
-        out: usize,
-        i: usize,
-        row: &'r [RangeValue],
-    ) -> &'r RangeValue {
-        match prog.outputs[out] {
-            Src::Reg(r) => &self.cols[r as usize][i],
-            Src::Col(c) => &row[c as usize],
-            Src::Const(k) => &prog.consts_range[k as usize],
-        }
-    }
-
-    /// The poison slot of row `i` after a lenient batch evaluation.
     pub fn row_error(&self, i: usize) -> Option<&EvalError> {
         self.errs[i].as_ref()
     }
@@ -1636,36 +1410,8 @@ mod tests {
         }
     }
 
-    /// The batch entry point equals row-at-a-time evaluation, including
-    /// row-major error selection (earliest erroring row wins even when a
-    /// later row errors at an earlier op).
-    #[test]
-    fn batch_matches_rows_and_error_order() {
-        let e = col(0).add(col(1)).div(col(1));
-        let p = Program::compile_range(&e);
-        let rows: Vec<Vec<RangeValue>> =
-            vec![vec![rv(1, 2, 3), rv(1, 1, 2)], vec![rv(0, 1, 2), rv(2, 2, 4)]];
-        let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut batch = RangeBatch::default();
-        p.eval_range_batch(&refs, &mut batch).unwrap();
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(*batch.output(&p, 0, i, r), e.eval_range(r).unwrap());
-        }
-
-        // row 0 errors at the Div (late op), row 1 at the column probe
-        // (early op): row-major semantics report row 0's error.
-        let p2 = Program::compile_range(&col(1).div(col(0)));
-        let rows: Vec<Vec<RangeValue>> = vec![
-            vec![rv(-1, 0, 1), rv(1, 1, 1)], // div spans zero
-            vec![rv(2, 2, 2)],               // missing column 1
-        ];
-        let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
-        let err = p2.eval_range_batch(&refs, &mut batch).unwrap_err();
-        assert_eq!(err, EvalError::RangeDivisionSpansZero);
-    }
-
-    /// The lane (columnar) entry point equals the row batch cell for
-    /// cell — outputs, error classification, and error positions — on
+    /// The lane entry point equals per-row evaluation cell for cell —
+    /// outputs, error classification, and error positions — on
     /// homogeneous Int, homogeneous Float, and mixed/boxed corpora,
     /// including rows that poison (spans-zero division, type errors)
     /// and rows that force kernel demotion (i64 overflow).
@@ -1709,36 +1455,56 @@ mod tests {
         let mut exprs_all = exprs();
         exprs_all.push(col(7).add(lit(1i64))); // unknown column, uniform arity
         exprs_all.push(col(0).and(lit(true))); // non-boolean And operand
-        let mut rb = RangeBatch::default();
+        let lanes_of = |rows: &[Vec<RangeValue>]| -> Vec<ValueLane> {
+            (0..rows[0].len()).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect()
+        };
+        let mut regs = Vec::new();
         let mut lb = LaneBatch::default();
         for rows in &corpora {
             let n = rows.len();
-            let arity = rows[0].len();
-            let lanes: Vec<ValueLane> =
-                (0..arity).map(|c| ValueLane::from_cells(rows.iter().map(|r| &r[c]))).collect();
+            let lanes = lanes_of(rows);
             let slices: Vec<LaneSlice<'_>> = lanes.iter().map(|l| l.as_slice()).collect();
-            let refs: Vec<&[RangeValue]> = rows.iter().map(|r| r.as_slice()).collect();
             for e in &exprs_all {
                 let p = Program::compile_range(e);
-                p.eval_range_batch_lenient(&refs, &mut rb, None).unwrap();
                 p.eval_range_lanes(&slices, n, &mut lb, None).unwrap();
-                for i in 0..n {
-                    assert_eq!(
-                        rb.row_error(i),
-                        lb.row_error(i),
-                        "error mismatch for {e} on row {i} of {rows:?}"
-                    );
-                    if rb.row_error(i).is_none() {
-                        let lane_out = lb.output_lane(&p, 0, &slices);
-                        assert_eq!(
-                            *rb.output(&p, 0, i, &rows[i]),
-                            lane_out.get(i),
-                            "output mismatch for {e} on row {i} of {rows:?}"
-                        );
+                for (i, row) in rows.iter().enumerate() {
+                    match p.eval_range(row, &mut regs) {
+                        Err(want) => assert_eq!(
+                            lb.row_error(i),
+                            Some(&want),
+                            "error mismatch for {e} on row {i} of {rows:?}"
+                        ),
+                        Ok(want) => {
+                            assert_eq!(lb.row_error(i), None, "{e} poisoned row {i} of {rows:?}");
+                            assert_eq!(
+                                lb.output_lane(&p, 0, &slices).get(i),
+                                want,
+                                "output mismatch for {e} on row {i} of {rows:?}"
+                            );
+                        }
                     }
                 }
             }
         }
+
+        // Error order: row 0 errors at the Div (late op), row 1 at the
+        // Add (earlier op). Each row keeps its own error, so the first
+        // poisoned row in source order — the error a row-at-a-time
+        // evaluation surfaces first — is row 0's.
+        let p = Program::compile_range(&col(1).add(lit(1i64)).div(col(0)));
+        let rows: Vec<Vec<RangeValue>> = vec![
+            vec![rv(-1, 0, 1), rv(1, 1, 1)], // div spans zero
+            vec![rv(2, 2, 2), RangeValue::certain(Value::str("x"))], // type error
+        ];
+        let lanes = lanes_of(&rows);
+        let slices: Vec<LaneSlice<'_>> = lanes.iter().map(|l| l.as_slice()).collect();
+        p.eval_range_lanes(&slices, rows.len(), &mut lb, None).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(lb.row_error(i), p.eval_range(row, &mut regs).err().as_ref());
+        }
+        assert!(matches!(lb.row_error(1), Some(e) if *e != EvalError::RangeDivisionSpansZero));
+        let first = (0..rows.len()).find_map(|i| lb.row_error(i));
+        assert_eq!(first, Some(&EvalError::RangeDivisionSpansZero));
     }
 
     /// Multi-output programs evaluate expressions in list order and

@@ -76,24 +76,19 @@ pub struct AuConfig {
     /// Compile fused-chain expressions to flat register programs
     /// ([`audb_core::Program`], on by default): every select / project /
     /// probe-predicate stage of a fused chain is lowered once per chain
-    /// and evaluated with no recursion and no per-row allocation;
-    /// select/project-only chains additionally run one op over a whole
-    /// shard of rows at a time. `false` keeps the `Expr`-tree
-    /// interpreter (`eval_range`), the differential-testing oracle.
-    /// Results are byte-identical either way
-    /// (`tests/compiled_exprs_props.rs`).
+    /// and evaluated with no recursion and no per-row allocation.
+    /// Select/project-only chains additionally run one op at a time as
+    /// typed vector kernels over the source relation's column lanes
+    /// ([`audb_storage::ColumnSet`],
+    /// [`audb_core::Program::eval_range_lanes`]); kernels are exact
+    /// refinements of the scalar range combinators — any row a kernel
+    /// cannot reproduce bit-identically (overflow out of the Int
+    /// lattice, NaN) demotes its whole op to the generic per-row path.
+    /// `false` keeps the per-row `Expr`-tree interpreter
+    /// (`eval_range`), the one differential-testing oracle. Results
+    /// are byte-identical either way (`tests/compiled_exprs_props.rs`,
+    /// `tests/columnar_props.rs`).
     pub compiled: bool,
-    /// Vectorized columnar execution of compiled probe-less chains (on
-    /// by default): batched select/project stages evaluate as typed
-    /// vector kernels over the source relation's column lanes
-    /// ([`audb_storage::ColumnSet`], [`audb_core::Program::eval_range_lanes`])
-    /// instead of row-major batch sweeps. Kernels are exact refinements
-    /// of the scalar range combinators — any row a kernel cannot
-    /// reproduce bit-identically (overflow out of the Int lattice, NaN)
-    /// demotes its whole op to the generic per-row path — so results
-    /// are byte-identical either way (`tests/columnar_props.rs`).
-    /// `false` keeps the row-major batch path, the differential oracle.
-    pub columnar: bool,
     /// Tier B static verification of compiled chain programs
     /// ([`audb_core::verify`], on by default): after lowering, every
     /// chain stage is abstractly interpreted over the type × interval
@@ -131,7 +126,6 @@ impl Default for AuConfig {
             shards: None,
             min_rows_per_worker: None,
             compiled: true,
-            columnar: true,
             verify: true,
             timeout: None,
             budget: None,
@@ -162,14 +156,6 @@ impl AuConfig {
     #[must_use = "builder methods return the modified config; dropping it leaves the original unchanged"]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Toggle columnar (vectorized) evaluation of batched chains;
-    /// `false` is the row-major differential oracle.
-    #[must_use = "builder methods return the modified config; dropping it leaves the original unchanged"]
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -207,19 +193,6 @@ impl AuConfig {
 pub fn eval_au(db: &AuDatabase, q: &Query, cfg: &AuConfig) -> Result<AuRelation, EvalError> {
     let token = cfg.timeout.map(CancelToken::with_deadline_in);
     eval_au_governed(db, q, cfg, token.as_ref(), &Metrics::disabled(), &TraceBuilder::disabled())
-}
-
-/// [`eval_au`] under an externally owned [`CancelToken`], so a serving
-/// layer can cancel a running query from another thread. The token is
-/// used as-is — arm a deadline with [`CancelToken::with_deadline_in`]
-/// rather than [`AuConfig::timeout`], which this entry point ignores.
-pub fn eval_au_cancellable(
-    db: &AuDatabase,
-    q: &Query,
-    cfg: &AuConfig,
-    token: &CancelToken,
-) -> Result<AuRelation, EvalError> {
-    eval_au_governed(db, q, cfg, Some(token), &Metrics::disabled(), &TraceBuilder::disabled())
 }
 
 /// One evaluation attempt under a serving layer's governance context:
@@ -344,7 +317,6 @@ fn engine_config(cfg: &AuConfig) -> Vec<(&'static str, String)> {
         ("shards", cfg.shards.map_or_else(|| "auto".to_string(), |s| s.to_string())),
         ("pipeline", cfg.pipeline.to_string()),
         ("compiled", cfg.compiled.to_string()),
-        ("columnar", cfg.columnar.to_string()),
         ("verify", cfg.verify.to_string()),
         ("adaptive", cfg.adaptive.to_string()),
         ("join_compress", opt(cfg.join_compress)),

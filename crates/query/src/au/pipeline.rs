@@ -67,8 +67,8 @@ use std::borrow::Cow;
 
 use audb_core::obs::TraceBuilder;
 use audb_core::{
-    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, RangeBatch,
-    RangeValue, Semiring, Value, ValueLane,
+    AuAnnot, CancelToken, EvalError, ExecError, Expr, LaneBatch, LaneSlice, Program, RangeValue,
+    Semiring, Value, ValueLane,
 };
 use audb_exec::{Executor, ShardSource};
 use audb_storage::{
@@ -304,24 +304,17 @@ impl<'a> ProbeOp<'a> {
     /// candidates of dropped rows are simply never probed. The
     /// re-check predicate compiles once here, like the chain stages.
     ///
-    /// With `columnar`, the full-relation interval indexes build
-    /// straight from the relations' column lanes
-    /// ([`IntervalIndex::from_lane`]) — identical index contents,
-    /// no row-tuple walk; `false` keeps the row-major oracle everywhere.
+    /// The full-relation interval indexes build straight from the
+    /// relations' column lanes ([`IntervalIndex::from_lane`]) — the
+    /// same index contents as a row-tuple walk, without the walk.
     fn build(
         source: &AuRelation,
         right: Cow<'a, AuRelation>,
         predicate: Option<&Expr>,
         vet: Vet<'_>,
-        columnar: bool,
     ) -> ProbeOp<'a> {
-        let full_index = |rel: &AuRelation, c: usize| {
-            if columnar {
-                IntervalIndex::from_lane(rel.columns().lane(c).as_slice())
-            } else {
-                IntervalIndex::from_au(rel.rows(), c)
-            }
-        };
+        let full_index =
+            |rel: &AuRelation, c: usize| IntervalIndex::from_lane(rel.columns().lane(c).as_slice());
         let mut cand: Vec<Vec<u32>> = vec![Vec::new(); source.len()];
         let plan = match planner::classify(predicate, source.schema.arity()) {
             planner::JoinStrategy::HashEqui(pairs) => {
@@ -537,8 +530,8 @@ fn apply(
 
 /// Run a probe-less compiled chain over one shard **one op at a time**:
 /// every select/project program evaluates over a whole chunk of the
-/// shard's rows via [`Program::eval_range_batch_lenient`] before the
-/// next op runs — the flat-columnar execution shape.
+/// shard's rows, as typed column lanes, via [`Program::eval_range_lanes`]
+/// before the next op runs.
 ///
 /// The shard is processed in [`GOVERN_ROWS`]-row chunks so cancellation
 /// is observed and produced rows are charged to the budget
@@ -547,8 +540,7 @@ fn apply(
 /// order.
 fn run_shard_batched(
     ops: &[PipeOp<'_>],
-    source: &AuRelation,
-    columns: Option<&ColumnSet>,
+    columns: &ColumnSet,
     range: std::ops::Range<usize>,
     out: &mut Vec<(RangeTuple, AuAnnot)>,
     exec: &Executor,
@@ -561,136 +553,27 @@ fn run_shard_batched(
         if let Some(token) = cancel {
             token.check()?;
         }
-        match columns {
-            Some(cs) => run_chunk_columnar(ops, cs, start..end, out, cancel)?,
-            None => run_chunk_batched(ops, source, start..end, out, cancel)?,
-        }
+        run_chunk_columnar(ops, columns, start..end, out, cancel)?;
         charge_out(exec, "pipeline-chain", out, &mut watermark)?;
         start = end;
     }
     Ok(())
 }
 
-/// One chunk of [`run_shard_batched`].
+/// One chunk of [`run_shard_batched`]: ops evaluate as typed vector
+/// kernels over the source's column lanes ([`Program::eval_range_lanes`]);
+/// row tuples materialize only at the chunk boundary.
 ///
-/// Byte-identity with the row-streaming path: the per-row math is the
-/// same combinators in the same order, rows keep their source order
-/// (no probe means one output per surviving input), and errors are
-/// row-major — an erroring row is *poisoned* (it stops flowing but is
-/// never dropped) and after the chain the earliest poisoned source row
-/// reports its error, exactly what streaming row-by-row would have
-/// surfaced first.
-fn run_chunk_batched(
-    ops: &[PipeOp<'_>],
-    source: &AuRelation,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<(RangeTuple, AuAnnot)>,
-    cancel: Option<&CancelToken>,
-) -> Result<(), EvalError> {
-    enum RowState {
-        Clean(AuAnnot),
-        Poisoned(EvalError),
-    }
-    let mut live: Vec<(Cow<'_, RangeTuple>, RowState)> =
-        source.rows()[range].iter().map(|(t, k)| (Cow::Borrowed(t), RowState::Clean(*k))).collect();
-    let mut batch = RangeBatch::default();
-
-    for op in ops {
-        // The rows still flowing: everything not yet poisoned.
-        let clean_idx: Vec<usize> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, st))| matches!(st, RowState::Clean(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if clean_idx.is_empty() {
-            break;
-        }
-        {
-            let refs: Vec<&[RangeValue]> = clean_idx.iter().map(|&i| live[i].0.values()).collect();
-            #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-            match op {
-                PipeOp::Select(p) => p
-                    .compiled()
-                    .expect("batched chains are compiled")
-                    .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
-                PipeOp::Project(p) => p
-                    .compiled()
-                    .expect("batched chains are compiled")
-                    .eval_range_batch_lenient(&refs, &mut batch, cancel)?,
-                PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
-            }
-        }
-        match op {
-            PipeOp::Select(p) => {
-                #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled");
-                // Decide per clean row: poison, drop, or keep with the
-                // multiplied annotation — then compact the drops.
-                let mut drop_flags = vec![false; live.len()];
-                for (j, &i) in clean_idx.iter().enumerate() {
-                    let decision = match batch.row_error(j) {
-                        Some(e) => Err(e.clone()),
-                        None => batch.output(prog, 0, j, live[i].0.values()).as_bool3(),
-                    };
-                    match decision {
-                        Err(e) => live[i].1 = RowState::Poisoned(e),
-                        Ok((_, _, false)) => drop_flags[i] = true,
-                        Ok((lb, sg, ub)) => {
-                            let RowState::Clean(k) = &mut live[i].1 else { unreachable!() };
-                            *k = k.times(&AuAnnot::from_bool3(lb, sg, ub));
-                        }
-                    }
-                }
-                let mut i = 0;
-                live.retain(|_| {
-                    let keep = !drop_flags[i];
-                    i += 1;
-                    keep
-                });
-            }
-            PipeOp::Project(p) => {
-                #[allow(clippy::expect_used)] // the batchable gate checked compiled() per stage
-                let prog = p.compiled().expect("compiled");
-                for (j, &i) in clean_idx.iter().enumerate() {
-                    let projected = match batch.row_error(j) {
-                        Some(e) => Err(e.clone()),
-                        None => Ok((0..prog.arity())
-                            .map(|oi| batch.output(prog, oi, j, live[i].0.values()).clone())
-                            .collect::<Vec<RangeValue>>()),
-                    };
-                    match projected {
-                        Err(e) => live[i].1 = RowState::Poisoned(e),
-                        Ok(vals) => live[i].0 = Cow::Owned(RangeTuple::new(vals)),
-                    }
-                }
-            }
-            PipeOp::Probe(_) => unreachable!("probe chains stream row-at-a-time"),
-        }
-    }
-
-    for (t, st) in live {
-        match st {
-            RowState::Poisoned(e) => return Err(e),
-            RowState::Clean(k) => out.push((t.into_owned(), k)),
-        }
-    }
-    Ok(())
-}
-
-/// One chunk of [`run_shard_batched`] on the columnar path: ops
-/// evaluate as typed vector kernels over the source's column lanes
-/// ([`Program::eval_range_lanes`]); row tuples materialize only at the
-/// chunk boundary.
-///
-/// Byte-identity with [`run_chunk_batched`] (and hence with the
-/// row-streaming path) holds because the kernels are exact refinements
+/// Byte-identity with the row-streaming path (and hence with the
+/// interpreted oracle) holds because the kernels are exact refinements
 /// of the scalar combinators — an op whose kernel cannot reproduce a
 /// row bit-identically (Int overflow, NaN) demotes wholesale to the
 /// generic per-row evaluation inside [`Program::eval_range_lanes`] —
-/// and the row protocol is the same: erroring rows are poisoned (never
-/// dropped), surviving rows keep source order, and after the chain the
-/// earliest poisoned source row reports its error.
+/// and errors are row-major: an erroring row is *poisoned* (it stops
+/// flowing but is never dropped), surviving rows keep source order (no
+/// probe means one output per surviving input), and after the chain the
+/// earliest poisoned source row reports its error, exactly what
+/// streaming row-by-row would have surfaced first.
 fn run_chunk_columnar(
     ops: &[PipeOp<'_>],
     cs: &ColumnSet,
@@ -810,7 +693,7 @@ fn run_chunk_columnar(
     }
 
     // The earliest poisoned source row wins the error report, exactly
-    // like the row-major paths.
+    // like the row-streaming path.
     for st in &states {
         if let RowState::Poisoned(e) = st {
             return Err(e.clone());
@@ -839,10 +722,10 @@ impl<'a> AuPipeline<'a> {
     /// rewrote tuples, the exact source-order row list for select-only
     /// chains (mirroring [`select_au_exec`]'s normal-form preservation).
     ///
-    /// Compiled probe-less chains evaluate one op over a whole shard of
-    /// rows at a time ([`run_shard_batched`]); chains with a probe
-    /// stream each row through the compiled ops with a per-worker
-    /// register file.
+    /// Compiled probe-less chains evaluate one op over the column lanes
+    /// of a whole chunk of rows at a time ([`run_shard_batched`]);
+    /// chains with a probe stream each row through the ops with a
+    /// per-worker register file.
     ///
     /// `h` is the open `fused-chain` span: the chain records its op
     /// summary, execution shape, and shard count there, and closes it
@@ -888,16 +771,13 @@ impl<'a> AuPipeline<'a> {
         });
         tr.attr(h, "exprs", || (if cfg.compiled { "compiled" } else { "interpreted" }).to_string());
         tr.attr(h, "batched", || batchable.to_string());
-        let columnar = cfg.columnar && batchable;
-        tr.attr(h, "columnar", || columnar.to_string());
         tr.attr(h, "shards", || sharding.slices(n).len().to_string());
-        // Built (or fetched from the relation's cache) once, shared by
-        // every shard; `None` keeps the row-major batch oracle.
-        let columns = if columnar { Some(source.columns()) } else { None };
         let rows = if batchable {
-            let columns = columns.as_deref();
+            // Built (or fetched from the relation's cache) once, shared
+            // by every shard.
+            let columns = source.columns();
             exec.run_shards(n, &sharding, |range, out| {
-                run_shard_batched(ops, source, columns, range, out, exec)
+                run_shard_batched(ops, &columns, range, out, exec)
             })?
         } else {
             // Probe chains can expand (join output); charge their
@@ -989,8 +869,7 @@ fn build_chain<'a>(
             let r = eval_pl(db, right, cfg, exec, Delivery::Canonical, tr)?;
             chain.schema = chain.schema.concat(&r.schema);
             let vet = Vet::new(cfg.compiled, cfg.verify, exec, tr);
-            let probe =
-                ProbeOp::build(chain.source.as_ref(), r, predicate.as_ref(), vet, cfg.columnar);
+            let probe = ProbeOp::build(chain.source.as_ref(), r, predicate.as_ref(), vet);
             chain.ops.push(PipeOp::Probe(Box::new(probe)));
             Ok(chain)
         }

@@ -2,8 +2,11 @@
 //! incomplete databases and random `RA^agg` queries, the AU-DB query
 //! result *bounds* the query result in every possible world
 //! (Theorems 3, 4, 6; Corollary 2) — decided exactly by the max-flow
-//! tuple-matching checker (Definitions 15–17). The same properties are
-//! asserted for the compressed evaluation paths (Lemmas 10.1, 10.2).
+//! tuple-matching checker (Definitions 15–17). The precise properties
+//! are asserted on every surviving execution path — the default
+//! (compiled, pipelined, columnar), the interpreted per-row oracle, and
+//! operator-at-a-time — and on the compressed evaluation paths
+//! (Lemmas 10.1, 10.2).
 
 use proptest::prelude::*;
 
@@ -98,43 +101,59 @@ fn query_strategy() -> impl Strategy<Value = Query> {
 // the property
 // ---------------------------------------------------------------------------
 
-fn check_bounds(db: &XDb, q: &Query, cfg: &AuConfig) -> Result<(), TestCaseError> {
+/// Check the AU result of `q` under every config in `cfgs` against the
+/// same possible-worlds ground truth.
+fn check_bounds(db: &XDb, q: &Query, cfgs: &[AuConfig]) -> Result<(), TestCaseError> {
     let Some(inc) = db.to_incomplete(512) else {
         return Ok(()); // too many worlds; skip
     };
     let au_in = db.to_au();
-    let out = eval_au(&au_in, q, cfg).expect("AU evaluation");
     let exact = inc.eval(q).expect("possible-worlds evaluation");
+    for cfg in cfgs {
+        let out = eval_au(&au_in, q, cfg).expect("AU evaluation");
 
-    // Definition 17 condition (5): the result bounds every world
-    for (i, w) in exact.worlds.iter().enumerate() {
-        prop_assert!(
-            relation_bounds_world(&out, w),
-            "world {i} not bounded:\nworld: {w}\nAU result: {out}"
+        // Definition 17 condition (5): the result bounds every world
+        for (i, w) in exact.worlds.iter().enumerate() {
+            prop_assert!(
+                relation_bounds_world(&out, w),
+                "world {i} not bounded ({cfg:?}):\nworld: {w}\nAU result: {out}"
+            );
+        }
+        // Definition 17 condition (6): the SGW is encoded exactly
+        prop_assert_eq!(
+            out.sg_world().normalized(),
+            exact.sg_world().normalized(),
+            "SGW not preserved ({:?})",
+            cfg
         );
     }
-    // Definition 17 condition (6): the SGW is encoded exactly
-    prop_assert_eq!(
-        out.sg_world().normalized(),
-        exact.sg_world().normalized(),
-        "SGW not preserved"
-    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
-    /// Corollary 2 (precise evaluation).
+    /// Corollary 2 (precise evaluation), on every surviving execution
+    /// path: the default, the interpreted oracle, and
+    /// operator-at-a-time.
     #[test]
     fn ra_agg_preserves_bounds_precise(db in xdb_strategy(), q in query_strategy()) {
-        check_bounds(&db, &q, &AuConfig::precise())?;
+        let precise = AuConfig::precise();
+        check_bounds(
+            &db,
+            &q,
+            &[
+                precise,
+                AuConfig { compiled: false, ..precise },
+                AuConfig { pipeline: false, ..precise },
+            ],
+        )?;
     }
 
     /// Lemmas 10.1 / 10.2: the compressed paths still preserve bounds.
     #[test]
     fn ra_agg_preserves_bounds_compressed(db in xdb_strategy(), q in query_strategy()) {
-        check_bounds(&db, &q, &AuConfig::compressed(2))?;
+        check_bounds(&db, &q, &[AuConfig::compressed(2)])?;
     }
 
     /// The translations bound their inputs (Theorem 10) even before any
@@ -171,5 +190,5 @@ fn difference_bounds_regression() {
         ),
     );
     let q = table("r").difference(table("s"));
-    check_bounds(&db, &q, &AuConfig::precise()).unwrap();
+    check_bounds(&db, &q, &[AuConfig::precise()]).unwrap();
 }

@@ -1,10 +1,11 @@
 //! Differential properties of columnar execution: for every query in
-//! the corpus, evaluation with `AuConfig::columnar` (typed vector
-//! kernels over column lanes) must be **byte-identical** to the
-//! row-major path (`columnar: false`) — same rows, same order, same
-//! annotations — at every worker × shard combination, including the
-//! error case: a query that fails must fail with the identical error
-//! (the earliest poisoned row's) on both paths.
+//! the corpus, the default evaluation (typed vector kernels over column
+//! lanes for batchable chains, lane-built probe indexes) must be
+//! **byte-identical** to the interpreted per-row oracle
+//! (`compiled: false`, one worker, one shard) — same rows, same order,
+//! same annotations — at every worker × shard combination, including
+//! the error case: a query that fails must fail with the identical
+//! error (the earliest poisoned row's) on both paths.
 //!
 //! Corpus: fig13/fig14/fig16-shaped query spines over proptest-generated
 //! mixed-type relations (strings and floats force the boxed lane,
@@ -28,33 +29,26 @@ const WORKERS: [usize; 4] = [1, 2, 4, 7];
 /// Forced shard counts for the fused-chain driver.
 const SHARDS: [usize; 3] = [1, 3, 8];
 
-/// Pipelined config with forced worker/shard counts and the columnar
-/// knob explicit. The adaptive parallelism floor is disabled so tiny
-/// proptest inputs really run multi-worker.
-fn cfg(columnar: bool, workers: usize, shards: usize) -> AuConfig {
+/// Pipelined config with forced worker/shard counts. The adaptive
+/// parallelism floor is disabled so tiny proptest inputs really run
+/// multi-worker.
+fn cfg(workers: usize, shards: usize) -> AuConfig {
     AuConfig {
         workers: Some(workers),
         shards: Some(shards),
         min_rows_per_worker: Some(0),
-        columnar,
         ..AuConfig::default()
     }
 }
 
-/// Columnar evaluation is the default.
-#[test]
-fn columnar_is_the_default() {
-    assert!(AuConfig::default().columnar);
-}
-
-/// Assert row-major and columnar agree (result or error) for every
-/// workers × shards combination, anchored on the sequential row-major
-/// reference.
+/// Assert the columnar default and the interpreted oracle agree
+/// (result or error) for every workers × shards combination, anchored
+/// on the sequential interpreted reference.
 fn assert_differential(db: &AuDatabase, q: &Query, ctx: &str) {
-    let reference = eval_au(db, q, &cfg(false, 1, 1));
+    let reference = eval_au(db, q, &AuConfig { compiled: false, ..cfg(1, 1) });
     for w in WORKERS {
         for s in SHARDS {
-            let got = eval_au(db, q, &cfg(true, w, s));
+            let got = eval_au(db, q, &cfg(w, s));
             assert_eq!(got, reference, "columnar: {ctx}, workers = {w}, shards = {s}, q = {q}");
         }
     }
@@ -150,7 +144,7 @@ proptest! {
     /// Mixed-type columns: strings, floats, and sentinels force the
     /// boxed lane (and mixed Int⊗Float comparisons inside kernels), and
     /// arithmetic over non-numeric cells poisons rows — results and
-    /// errors must match the row path exactly.
+    /// errors must match the interpreted oracle exactly.
     #[test]
     fn columnar_identical_on_mixed_type_corpus(
         t1 in relation_strategy(mixed_value_strategy, "A", "B", 14),

@@ -5,7 +5,8 @@
 //! every level the programs are wired in:
 //!
 //! * direct row evaluation (`eval_range` / `eval`) and the op-at-a-time
-//!   batch entry point (including its row-major error selection);
+//!   lane entry point (`eval_range_lanes`, including the row-major
+//!   error selection its callers make from per-row poison);
 //! * the AU fused-chain evaluator (`AuConfig::compiled` on vs off)
 //!   across workers {1, 2, 4} × shards {1, 3, 8}, byte-identical
 //!   relations and identical errors;
@@ -15,7 +16,7 @@
 use proptest::prelude::*;
 
 use audb::core::program::Program;
-use audb::core::RangeBatch;
+use audb::core::{LaneBatch, LaneSlice, ValueLane};
 use audb::prelude::*;
 use audb::query::table;
 
@@ -131,7 +132,7 @@ proptest! {
 
     /// Direct evaluation: the compiled range and det programs agree
     /// with the interpreters on every row — `Ok` values and `Err`
-    /// classifications alike — and the batch entry point returns the
+    /// classifications alike — and the lane entry point returns the
     /// same columns (or the error of the earliest erroring row, which
     /// is what row-at-a-time evaluation surfaces first).
     #[test]
@@ -149,27 +150,32 @@ proptest! {
             prop_assert_eq!(&compiled, &interp, "row mismatch for {} on {:?}", &e, t);
         }
 
-        // batch = row-at-a-time, including the row-major error choice
-        let refs: Vec<&[RangeValue]> = tuples.iter().map(|t| t.as_slice()).collect();
-        let mut batch = RangeBatch::default();
-        let got = prog.eval_range_batch(&refs, &mut batch);
+        // lanes = row-at-a-time, including the row-major error choice:
+        // the earliest poisoned row's error is the one reported
+        let lanes: Vec<ValueLane> =
+            (0..2).map(|c| ValueLane::from_cells(tuples.iter().map(|t| &t[c]))).collect();
+        let slices: Vec<LaneSlice<'_>> = lanes.iter().map(ValueLane::as_slice).collect();
+        let mut batch = LaneBatch::default();
+        prop_assert!(prog.eval_range_lanes(&slices, tuples.len(), &mut batch, None).is_ok());
+        let got = (0..tuples.len()).find_map(|i| batch.row_error(i).cloned());
         let expected_err = tuples.iter().find_map(|t| e.eval_range(t).err());
         match (got, expected_err) {
-            (Ok(()), None) => {
+            (None, None) => {
+                let out = batch.output_lane(&prog, 0, &slices);
                 for (i, t) in tuples.iter().enumerate() {
                     prop_assert_eq!(
-                        batch.output(&prog, 0, i, t),
-                        &e.eval_range(t).unwrap(),
-                        "batch output mismatch for {} at row {}", &e, i
+                        out.get(i),
+                        e.eval_range(t).unwrap(),
+                        "lane output mismatch for {} at row {}", &e, i
                     );
                 }
             }
-            (Err(got), Some(want)) => {
-                prop_assert_eq!(&got, &want, "batch error classification for {}", &e);
+            (Some(got), Some(want)) => {
+                prop_assert_eq!(&got, &want, "lane error classification for {}", &e);
             }
             (got, want) => {
                 return Err(TestCaseError::fail(format!(
-                    "{e}: batch {got:?} but row-wise {want:?}"
+                    "{e}: lanes {got:?} but row-wise {want:?}"
                 )));
             }
         }

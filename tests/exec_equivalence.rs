@@ -582,8 +582,8 @@ fn far_deadline_does_not_perturb_results() {
     }
 }
 
-/// External cancellation through [`eval_au_cancellable`]: a tripped
-/// token stops the query with the structured `Cancelled` verdict.
+/// External cancellation through [`eval_au_once`]: a tripped token
+/// stops the query with the structured `Cancelled` verdict.
 #[test]
 fn cancelled_token_reports_cancelled() {
     let db = expanding_db(64);
@@ -591,7 +591,8 @@ fn cancelled_token_reports_cancelled() {
     let token = CancelToken::new();
     token.cancel();
     for cfg in [cfg_operator(), cfg_pipeline(4, 3)] {
-        let err = eval_au_cancellable(&db, &q, &cfg, &token).unwrap_err();
+        let err =
+            eval_au_once(&db, &q, &cfg, Some(&token), None, &Metrics::disabled()).unwrap_err();
         assert_eq!(err, EvalError::Exec(ExecError::Cancelled), "cfg = {cfg:?}");
     }
 }
