@@ -36,6 +36,13 @@ pub enum EvalError {
     SchemaMismatch(String),
     /// Operation unsupported by the evaluator (e.g. difference on UA-DBs).
     Unsupported(String),
+    /// An input past a fixed structural limit (e.g. SQL expression
+    /// nesting deeper than the parser accepts), refused before it can
+    /// exhaust the stack.
+    LimitExceeded {
+        limit: &'static str,
+        max: usize,
+    },
     /// A structured execution-runtime fault: contained worker panic,
     /// cancellation/deadline, or an exhausted resource budget.
     Exec(ExecError),
@@ -78,6 +85,9 @@ impl fmt::Display for EvalError {
             EvalError::InvalidAnnotation(m) => write!(f, "invalid annotation triple: {m}"),
             EvalError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             EvalError::Unsupported(m) => write!(f, "unsupported operation: {m}"),
+            EvalError::LimitExceeded { limit, max } => {
+                write!(f, "limit exceeded: {limit} is capped at {max}")
+            }
             EvalError::Exec(e) => write!(f, "execution fault: {e}"),
         }
     }

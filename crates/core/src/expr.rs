@@ -132,7 +132,10 @@ impl Expr {
 
     // ---- structural traversal (spans for the compiled backend) ----------
 
-    /// The node's children in syntactic order (up to three).
+    /// The node's children in syntactic order (up to three). Preorder
+    /// node ids follow this order: the compiled backend stamps every
+    /// emitted op with the global preorder id of its emitting node
+    /// ([`crate::Program`]'s spans).
     pub(crate) fn children(&self) -> [Option<&Expr>; 3] {
         match self {
             Expr::Col(_) | Expr::Const(_) => [None, None, None],
@@ -151,32 +154,6 @@ impl Expr {
             | Expr::Div(a, b) => [Some(a), Some(b), None],
             Expr::If(c, t, e) | Expr::Uncertain(c, t, e) => [Some(c), Some(t), Some(e)],
         }
-    }
-
-    /// Number of AST nodes in this subtree (the node itself included).
-    /// Preorder node ids are assigned against this count: a node's first
-    /// child is `id + 1`, each later child starts past its predecessor's
-    /// subtree. The compiled backend stamps every emitted op with the id
-    /// of its emitting node ([`crate::Program`]'s spans).
-    pub fn node_count(&self) -> u32 {
-        1 + self.children().iter().flatten().map(|c| c.node_count()).sum::<u32>()
-    }
-
-    /// The node at preorder index `idx` within this subtree (`0` is the
-    /// root), or `None` past the end.
-    pub fn preorder_node(&self, idx: usize) -> Option<&Expr> {
-        if idx == 0 {
-            return Some(self);
-        }
-        let mut rest = idx - 1;
-        for c in self.children().iter().flatten() {
-            let n = c.node_count() as usize;
-            if rest < n {
-                return c.preorder_node(rest);
-            }
-            rest -= n;
-        }
-        None
     }
 
     /// `vars(e)`: the set of referenced columns.

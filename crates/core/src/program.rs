@@ -40,6 +40,7 @@
 //!   semantically load-bearing — the skipped subexpression may error —
 //!   which also rules out op-at-a-time batching for det programs.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::EvalError;
@@ -299,17 +300,14 @@ impl Program {
     /// this to compare op-for-op (it must not recurse into
     /// verification).
     fn lower_many(mode: Mode, exprs: &[Expr]) -> Program {
-        let mut l = Lowerer::new(mode);
-        let mut nid = 0u32;
+        let nodes = NodeTable::new(exprs);
+        let mut l = Lowerer::new(mode, &nodes);
         let outputs = exprs
             .iter()
-            .map(|e| {
-                let s = match mode {
-                    Mode::Range => l.lower_range_value(e, nid),
-                    Mode::Det => l.lower_det_value(e, nid),
-                };
-                nid += e.node_count();
-                s
+            .zip(nodes.roots())
+            .map(|(e, &nid)| match mode {
+                Mode::Range => l.lower_range_value(e, nid),
+                Mode::Det => l.lower_det_value(e, nid),
             })
             .collect();
         l.finish(outputs, exprs)
@@ -359,13 +357,6 @@ impl Program {
     ) -> Result<Vec<crate::verify::ProgramLint>, crate::verify::VerifyError> {
         crate::verify::check_structure(self)?;
         crate::verify::check_abstract(self)
-    }
-
-    /// The source `Expr` node behind global preorder id `nid`, if any.
-    pub(crate) fn node_expr(&self, nid: u32) -> Option<&Expr> {
-        let k = self.node_offsets.partition_point(|&off| off <= nid).checked_sub(1)?;
-        let root = self.srcs.get(k)?;
-        root.preorder_node((nid - self.node_offsets[k]) as usize)
     }
 
     /// Panic (lowerer bug) if Tier A rejects this freshly built program.
@@ -967,31 +958,128 @@ impl fmt::Display for Program {
 // Lowering
 // ---------------------------------------------------------------------------
 
-struct Lowerer {
+/// Parent id of a source root in a [`NodeTable`].
+const NO_PARENT: u32 = u32::MAX;
+
+/// The flat structural table of a program's source expressions, indexed
+/// by global preorder id (the ids op spans carry): each node's
+/// expression, its parent, and one past the end of its subtree. A
+/// node's first child is the next id, each later child starts at its
+/// predecessor's subtree end.
+///
+/// Built by one iterative walk of the sources, O(nodes), so lowering,
+/// both verifier tiers and their diagnostics answer every child,
+/// ancestor, extent and id → node question in O(1). Nothing stores a
+/// table: whoever needs one derives it from the sources it is about to
+/// trust (Tier A in particular never trusts a cached copy).
+pub(crate) struct NodeTable<'a> {
+    exprs: Vec<&'a Expr>,
+    parent: Vec<u32>,
+    end: Vec<u32>,
+    /// Global id of each source root, plus a sentinel holding the total
+    /// node count — the layout of [`Program::node_offsets`].
+    roots: Vec<u32>,
+}
+
+impl<'a> NodeTable<'a> {
+    pub(crate) fn new(srcs: &'a [Expr]) -> NodeTable<'a> {
+        let mut t =
+            NodeTable { exprs: Vec::new(), parent: Vec::new(), end: Vec::new(), roots: Vec::new() };
+        let mut stack: Vec<(&'a Expr, u32)> = Vec::new();
+        for root in srcs {
+            t.roots.push(t.exprs.len() as u32);
+            stack.push((root, NO_PARENT));
+            while let Some((e, parent)) = stack.pop() {
+                let id = t.exprs.len() as u32;
+                t.exprs.push(e);
+                t.parent.push(parent);
+                t.end.push(id + 1);
+                // reversed, so the first child pops (and numbers) first
+                for c in e.children().into_iter().rev().flatten() {
+                    stack.push((c, id));
+                }
+            }
+        }
+        t.roots.push(t.exprs.len() as u32);
+        // Children carry larger ids than their parent: one backward
+        // sweep folds every subtree end into its parent.
+        for id in (0..t.exprs.len()).rev() {
+            let p = t.parent[id];
+            if p != NO_PARENT {
+                t.end[p as usize] = t.end[p as usize].max(t.end[id]);
+            }
+        }
+        t
+    }
+
+    /// Total node count across all sources.
+    pub(crate) fn len(&self) -> u32 {
+        self.exprs.len() as u32
+    }
+
+    /// The source node behind global preorder id `nid`, if any.
+    pub(crate) fn expr(&self, nid: u32) -> Option<&'a Expr> {
+        self.exprs.get(nid as usize).copied()
+    }
+
+    /// The parent of `nid` (`None` for a source root). `nid` must be in
+    /// bounds.
+    pub(crate) fn parent(&self, nid: u32) -> Option<u32> {
+        Some(self.parent[nid as usize]).filter(|&p| p != NO_PARENT)
+    }
+
+    /// One past the last id of `nid`'s subtree. `nid` must be in bounds.
+    pub(crate) fn end(&self, nid: u32) -> u32 {
+        self.end[nid as usize]
+    }
+
+    /// Is `nid` in the subtree rooted at `anc` (`anc` itself included)?
+    pub(crate) fn contains(&self, anc: u32, nid: u32) -> bool {
+        anc <= nid && nid < self.end(anc)
+    }
+
+    /// Per-source root ids plus the total-count sentinel.
+    pub(crate) fn roots(&self) -> &[u32] {
+        &self.roots
+    }
+
+    /// Ids of `nid`'s children in syntactic order; slots past the last
+    /// child hold the subtree end. Ids are structural, independent of
+    /// visit order (det `Uncertain` skips two subtrees, `Geq`/`Gt`
+    /// lower right-first).
+    fn children(&self, nid: u32) -> [u32; 3] {
+        let end = self.end(nid);
+        let next = |c: u32| if c < end { self.end(c) } else { c };
+        let n0 = nid + 1;
+        let n1 = next(n0);
+        [n0, n1, next(n1)]
+    }
+}
+
+struct Lowerer<'a> {
     mode: Mode,
+    nodes: &'a NodeTable<'a>,
     ops: Vec<Op>,
     /// One entry per op: the global preorder id of the emitting node.
     spans: Vec<u32>,
     consts: Vec<Value>,
+    /// Pool index of every constant in `consts`, so deduplication is
+    /// O(1) per constant; the pool keeps first-use order.
+    const_ids: HashMap<Value, u32>,
     next: u32,
 }
 
-/// Global preorder ids of a node's children: the first child is the
-/// next preorder slot, each later child starts past its predecessor's
-/// subtree. Works for any child the lowering visits in any order —
-/// ids are *structural*, independent of visit order (det `Uncertain`
-/// skips two subtrees, `Geq`/`Gt` lower right-first).
-fn child_nids(e: &Expr, nid: u32) -> [u32; 3] {
-    let [c0, c1, _] = e.children();
-    let n0 = nid + 1;
-    let n1 = n0 + c0.map_or(0, Expr::node_count);
-    let n2 = n1 + c1.map_or(0, Expr::node_count);
-    [n0, n1, n2]
-}
-
-impl Lowerer {
-    fn new(mode: Mode) -> Self {
-        Lowerer { mode, ops: Vec::new(), spans: Vec::new(), consts: Vec::new(), next: 0 }
+impl<'a> Lowerer<'a> {
+    fn new(mode: Mode, nodes: &'a NodeTable<'a>) -> Self {
+        Lowerer {
+            mode,
+            nodes,
+            ops: Vec::new(),
+            spans: Vec::new(),
+            consts: Vec::new(),
+            const_ids: HashMap::new(),
+            next: 0,
+        }
     }
 
     fn reg(&mut self) -> Reg {
@@ -1001,13 +1089,13 @@ impl Lowerer {
     }
 
     fn konst(&mut self, v: &Value) -> u32 {
-        match self.consts.iter().position(|c| c == v) {
-            Some(i) => i as u32,
-            None => {
-                self.consts.push(v.clone());
-                (self.consts.len() - 1) as u32
-            }
+        if let Some(&i) = self.const_ids.get(v) {
+            return i;
         }
+        let i = self.consts.len() as u32;
+        self.consts.push(v.clone());
+        self.const_ids.insert(v.clone(), i);
+        i
     }
 
     /// Emit one op attributed to source node `nid`.
@@ -1034,13 +1122,6 @@ impl Lowerer {
 
     fn finish(self, outputs: Vec<Src>, srcs: &[Expr]) -> Program {
         let consts_range = self.consts.iter().map(|v| RangeValue::certain(v.clone())).collect();
-        let mut node_offsets = Vec::with_capacity(srcs.len() + 1);
-        let mut off = 0u32;
-        for e in srcs {
-            node_offsets.push(off);
-            off += e.node_count();
-        }
-        node_offsets.push(off);
         debug_assert_eq!(self.ops.len(), self.spans.len());
         Program {
             mode: self.mode,
@@ -1051,7 +1132,7 @@ impl Lowerer {
             outputs,
             spans: self.spans,
             srcs: srcs.to_vec(),
-            node_offsets,
+            node_offsets: self.nodes.roots().to_vec(),
         }
     }
 
@@ -1061,7 +1142,7 @@ impl Lowerer {
     /// are addressed in place (a `CheckCol` keeps the bounds error at
     /// the position the interpreter would have raised it).
     fn lower_range_value(&mut self, e: &Expr, nid: u32) -> Src {
-        let [na, nb, nc] = child_nids(e, nid);
+        let [na, nb, nc] = self.nodes.children(nid);
         match e {
             Expr::Col(i) => {
                 self.emit(nid, Op::CheckCol { col: *i as u32 });
@@ -1193,7 +1274,7 @@ impl Lowerer {
     /// Lower an expression so its value lands in `dst` (needed by `If`
     /// branches, which must deposit into a shared register).
     fn lower_det_into(&mut self, e: &Expr, nid: u32, dst: Reg) {
-        let [na, nb, nc] = child_nids(e, nid);
+        let [na, nb, nc] = self.nodes.children(nid);
         match e {
             Expr::Col(i) => self.emit(nid, Op::LoadCol { col: *i as u32, dst }),
             Expr::Const(v) => {
@@ -1505,6 +1586,86 @@ mod tests {
         assert!(matches!(lb.row_error(1), Some(e) if *e != EvalError::RangeDivisionSpansZero));
         let first = (0..rows.len()).find_map(|i| lb.row_error(i));
         assert_eq!(first, Some(&EvalError::RangeDivisionSpansZero));
+    }
+
+    /// Random trees over every operator arity: leaves, unary, binary and
+    /// ternary nodes.
+    fn any_expr() -> proptest::prelude::BoxedStrategy<Expr> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![(0usize..3).prop_map(col), (-3i64..4).prop_map(lit)].boxed();
+        leaf.prop_recursive(6, 64, 3, |inner| {
+            let bin = || (inner.clone(), inner.clone());
+            let tri = || (inner.clone(), inner.clone(), inner.clone());
+            prop_oneof![
+                inner.clone().prop_map(Expr::not),
+                inner.clone().prop_map(Expr::neg),
+                bin().prop_map(|(a, b)| a.and(b)),
+                bin().prop_map(|(a, b)| a.or(b)),
+                bin().prop_map(|(a, b)| a.eq(b)),
+                bin().prop_map(|(a, b)| a.neq(b)),
+                bin().prop_map(|(a, b)| a.leq(b)),
+                bin().prop_map(|(a, b)| a.lt(b)),
+                bin().prop_map(|(a, b)| a.geq(b)),
+                bin().prop_map(|(a, b)| a.gt(b)),
+                bin().prop_map(|(a, b)| a.add(b)),
+                bin().prop_map(|(a, b)| a.sub(b)),
+                bin().prop_map(|(a, b)| a.mul(b)),
+                bin().prop_map(|(a, b)| a.div(b)),
+                tri().prop_map(|(c, t, e)| Expr::if_then_else(c, t, e)),
+                tri().prop_map(|(l, s, u)| Expr::make_uncertain(l, s, u)),
+            ]
+        })
+    }
+
+    /// Reference preorder walk by plain recursion: one `(parent,
+    /// subtree size, node)` row per node, ids global across calls.
+    fn reference_walk<'a>(
+        e: &'a Expr,
+        parent: Option<u32>,
+        rows: &mut Vec<(Option<u32>, u32, &'a Expr)>,
+    ) -> u32 {
+        let id = rows.len();
+        rows.push((parent, 0, e));
+        let size = 1 + e
+            .children()
+            .into_iter()
+            .flatten()
+            .map(|c| reference_walk(c, Some(id as u32), rows))
+            .sum::<u32>();
+        rows[id].1 = size;
+        size
+    }
+
+    proptest::proptest! {
+        /// The flat node table agrees with a recursive walk on every
+        /// node of random multi-source programs: node identity, parent,
+        /// subtree size, per-source root ids, and the child ids lowering
+        /// stamps on ops.
+        #[test]
+        fn node_table_matches_recursive_walk(
+            srcs in proptest::collection::vec(any_expr(), 1..4),
+        ) {
+            let t = NodeTable::new(&srcs);
+            let mut rows = Vec::new();
+            let mut roots = Vec::new();
+            for e in &srcs {
+                roots.push(rows.len() as u32);
+                reference_walk(e, None, &mut rows);
+            }
+            roots.push(rows.len() as u32);
+            proptest::prop_assert_eq!(t.len() as usize, rows.len());
+            proptest::prop_assert_eq!(t.roots(), &roots[..]);
+            for (id, &(parent, size, e)) in rows.iter().enumerate() {
+                let id = id as u32;
+                proptest::prop_assert!(std::ptr::eq(t.expr(id).unwrap(), e));
+                proptest::prop_assert_eq!(t.parent(id), parent);
+                proptest::prop_assert_eq!(t.end(id) - id, size);
+                let kids: Vec<u32> =
+                    (id + 1..t.end(id)).filter(|&c| rows[c as usize].0 == Some(id)).collect();
+                proptest::prop_assert_eq!(&t.children(id)[..kids.len()], &kids[..]);
+            }
+            proptest::prop_assert!(t.expr(t.len()).is_none());
+        }
     }
 
     /// Multi-output programs evaluate expressions in list order and

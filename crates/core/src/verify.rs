@@ -7,8 +7,10 @@
 //! module turns "tested" into "verified by construction" with a two-tier
 //! static analyzer:
 //!
-//! * **Tier A** ([`check_structure`]): a linear pass plus forward
-//!   dataflow over the op array. Checks span/table consistency, const
+//! * **Tier A** ([`check_structure`]): O(ops + nodes) passes plus one
+//!   forward dataflow pass over the op array, every source-tree
+//!   question answered from a flat node table derived from the
+//!   program's own sources. Checks span/table consistency, const
 //!   pool integrity, mode separation, register-file and const-pool
 //!   bounds, jump-target validity (forward-only, in-bounds, confined to
 //!   the emitting node's op region — no jump into the middle of a merged
@@ -47,16 +49,16 @@
 //! …) must be caught by Tier A/B or be behavior-preserving under the
 //! differential oracle.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::error::EvalError;
 use crate::expr::{
     self, range_add, range_and, range_div, range_eq, range_if_merge, range_leq, range_lt,
     range_mul, range_neg, range_not, range_or, range_sub, range_uncertain,
 };
-use crate::program::{Mode, Op, Program, Reg, Src};
+use crate::program::{Mode, NodeTable, Op, Program, Reg, Src};
 use crate::range::RangeValue;
 use crate::value::Value;
 use crate::Expr;
@@ -212,17 +214,38 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 impl VerifyError {
-    /// A failure attributable to op `op` of `p`; resolves the source
-    /// node through the span tables when they are intact.
-    fn at(p: &Program, op: usize, kind: VerifyErrorKind) -> VerifyError {
-        let node = p.spans.get(op).copied();
-        let source = node.and_then(|n| p.node_expr(n)).map(|e| e.to_string());
-        VerifyError { kind, op: Some(op), node, source }
-    }
-
     /// A program-level failure not tied to one op.
     fn global(kind: VerifyErrorKind) -> VerifyError {
         VerifyError { kind, op: None, node: None, source: None }
+    }
+}
+
+/// A program under verification together with the node table derived
+/// from its own sources, so every diagnostic resolves its source node
+/// in O(1).
+struct Ctx<'a> {
+    p: &'a Program,
+    nodes: NodeTable<'a>,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(p: &'a Program) -> Ctx<'a> {
+        Ctx { p, nodes: NodeTable::new(&p.srcs) }
+    }
+
+    /// A failure attributable to op `op`; resolves the source node
+    /// through the span table when the span is in bounds.
+    fn err(&self, op: usize, kind: VerifyErrorKind) -> VerifyError {
+        let node = self.p.spans.get(op).copied();
+        let source = node.and_then(|n| self.nodes.expr(n)).map(|e| e.to_string());
+        VerifyError { kind, op: Some(op), node, source }
+    }
+
+    /// An advisory finding anchored to op `op`.
+    fn lint(&self, op: usize, kind: LintKind) -> ProgramLint {
+        let node = self.p.spans.get(op).copied().unwrap_or(0);
+        let source = self.nodes.expr(node).map(|e| e.to_string()).unwrap_or_default();
+        ProgramLint { kind, op, node, source }
     }
 }
 
@@ -275,12 +298,6 @@ impl fmt::Display for ProgramLint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "op {} (node {}: `{}`): {}", self.op, self.node, self.source, self.kind.name())
     }
-}
-
-fn lint(p: &Program, op: usize, kind: LintKind) -> ProgramLint {
-    let node = p.spans.get(op).copied().unwrap_or(0);
-    let source = p.node_expr(node).map(|e| e.to_string()).unwrap_or_default();
-    ProgramLint { kind, op, node, source }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,59 +449,26 @@ impl Flow {
     }
 }
 
-fn merge_flow(slot: &mut Option<Flow>, incoming: &Flow) {
+fn merge_flow(slot: &mut Option<Flow>, incoming: Flow) {
     match slot {
-        None => *slot = Some(incoming.clone()),
-        Some(prev) => prev.intersect(incoming),
+        None => *slot = Some(incoming),
+        Some(prev) => prev.intersect(&incoming),
     }
 }
 
-/// The chain of source-subtree preorder intervals from the owning
-/// expression's root down to node `nid` (outermost first). Fails when
-/// `nid` does not resolve through the node tables.
-fn ancestor_chain(p: &Program, nid: u32, out: &mut Vec<(u32, u32)>) -> bool {
-    out.clear();
-    let k = match p.node_offsets.partition_point(|&off| off <= nid).checked_sub(1) {
-        Some(k) if k < p.srcs.len() => k,
-        _ => return false,
-    };
-    let mut cur = &p.srcs[k];
-    let mut cur_id = p.node_offsets[k];
-    loop {
-        out.push((cur_id, cur_id + cur.node_count()));
-        if cur_id == nid {
-            return true;
-        }
-        let mut child_id = cur_id + 1;
-        let mut next = None;
-        for c in p_children(cur) {
-            let end = child_id + c.node_count();
-            if (child_id..end).contains(&nid) {
-                next = Some((c, child_id));
-                break;
-            }
-            child_id = end;
-        }
-        match next {
-            Some((c, id)) => {
-                cur = c;
-                cur_id = id;
-            }
-            None => return false,
-        }
-    }
-}
-
-fn p_children(e: &Expr) -> impl Iterator<Item = &Expr> {
-    e.children().into_iter().flatten()
-}
-
-/// Tier A: the structural dataflow verifier. `O(ops · depth)`; no
-/// abstract interpretation, no re-lowering — safe to run on every
-/// compile unconditionally.
+/// Tier A: the structural dataflow verifier. `O(ops + nodes)` plus the
+/// register bitset copies at conditional jumps; no abstract
+/// interpretation, no re-lowering — safe to run on every compile and
+/// on every prepared-plan hit unconditionally.
+///
+/// Every structural question is answered from a [`NodeTable`] derived
+/// here from `p.srcs` itself, never from a stored copy: this is the
+/// gate for cached (possibly corrupted) programs.
 pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     use VerifyErrorKind::*;
     let n = p.ops.len();
+    let cx = Ctx::new(p);
+    let tree = &cx.nodes;
 
     // -- table consistency ------------------------------------------------
     if p.spans.len() != n {
@@ -501,16 +485,15 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
             detail: format!("{} entries for {} sources", p.node_offsets.len(), p.srcs.len()),
         }));
     }
-    let mut off = 0u32;
-    for (k, e) in p.srcs.iter().enumerate() {
-        if p.node_offsets[k] != off {
+    let offsets = &p.node_offsets[..p.srcs.len()];
+    for (k, (&off, &root)) in offsets.iter().zip(tree.roots()).enumerate() {
+        if off != root {
             return Err(VerifyError::global(NodeTableInvalid {
-                detail: format!("offset {} for source {k}, expected {off}", p.node_offsets[k]),
+                detail: format!("offset {off} for source {k}, expected {root}"),
             }));
         }
-        off += e.node_count();
     }
-    let nodes = off;
+    let nodes = tree.len();
     if *p.node_offsets.last().unwrap_or(&0) != nodes {
         return Err(VerifyError::global(NodeTableInvalid {
             detail: format!("sentinel {:?}, expected {nodes}", p.node_offsets.last()),
@@ -518,7 +501,7 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     }
     for (i, &s) in p.spans.iter().enumerate() {
         if s >= nodes {
-            return Err(VerifyError::at(p, i, SpanOutOfBounds { span: s, nodes }));
+            return Err(cx.err(i, SpanOutOfBounds { span: s, nodes }));
         }
     }
 
@@ -538,85 +521,73 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     for (i, op) in p.ops.iter().enumerate() {
         if let Some(m) = op_mode(op) {
             if m != p.mode {
-                return Err(VerifyError::at(p, i, ForeignOp { mode: p.mode }));
+                return Err(cx.err(i, ForeignOp { mode: p.mode }));
             }
         }
         for s in op_reads(op).into_iter().flatten() {
             match s {
                 Src::Reg(r) if (r as usize) >= p.nregs => {
-                    return Err(VerifyError::at(
-                        p,
-                        i,
-                        RegisterOutOfBounds { reg: r, nregs: p.nregs },
-                    ))
+                    return Err(cx.err(i, RegisterOutOfBounds { reg: r, nregs: p.nregs }))
                 }
                 Src::Const(k) if (k as usize) >= p.consts.len() => {
-                    return Err(VerifyError::at(
-                        p,
-                        i,
-                        ConstOutOfBounds { idx: k, len: p.consts.len() },
-                    ))
+                    return Err(cx.err(i, ConstOutOfBounds { idx: k, len: p.consts.len() }))
                 }
                 _ => {}
             }
         }
         if let Op::LoadConst { idx, .. } = op {
             if (*idx as usize) >= p.consts.len() {
-                return Err(VerifyError::at(
-                    p,
-                    i,
-                    ConstOutOfBounds { idx: *idx, len: p.consts.len() },
-                ));
+                return Err(cx.err(i, ConstOutOfBounds { idx: *idx, len: p.consts.len() }));
             }
         }
         if let Some(d) = op_dst(op) {
             if (d as usize) >= p.nregs {
-                return Err(VerifyError::at(p, i, RegisterOutOfBounds { reg: d, nregs: p.nregs }));
+                return Err(cx.err(i, RegisterOutOfBounds { reg: d, nregs: p.nregs }));
             }
         }
         if let Some(to) = op_jump(op) {
             if (to as usize) > n {
-                return Err(VerifyError::at(p, i, JumpOutOfBounds { to, len: n }));
+                return Err(cx.err(i, JumpOutOfBounds { to, len: n }));
             }
             if (to as usize) <= i {
-                return Err(VerifyError::at(p, i, JumpNotForward { to }));
+                return Err(cx.err(i, JumpNotForward { to }));
             }
         }
     }
 
     // -- subtree-extent contiguity ----------------------------------------
-    // Walk the ops keeping the stack of currently open source subtrees
-    // (as preorder-id intervals). Leaving a subtree closes it; a span
-    // landing back inside a closed subtree means ops of disjoint
-    // subtrees interleave — which would also defeat the jump-region
-    // argument below.
-    let mut open: Vec<(u32, u32)> = Vec::new();
-    let mut closed: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut chain: Vec<(u32, u32)> = Vec::new();
+    // Walk the ops keeping the stack of currently open source subtrees:
+    // always one root-to-node path, the last op's span on top. An op
+    // pops every open subtree that does not contain its span (closing
+    // it), then opens its span's ancestors below the new top. Opening a
+    // closed subtree means ops of disjoint subtrees interleave — which
+    // would also defeat the jump-region argument below. A closed node
+    // never reopens, so each node is pushed and popped at most once:
+    // amortized O(1) per op. Only newly opened nodes need the closed
+    // test — their other ancestors are on the open stack, hence open.
+    let mut open: Vec<u32> = Vec::new();
+    let mut closed = vec![false; nodes as usize];
+    let mut chain: Vec<u32> = Vec::new();
     for (i, &s) in p.spans.iter().enumerate() {
-        if !ancestor_chain(p, s, &mut chain) {
-            return Err(VerifyError::at(p, i, SpanOutOfBounds { span: s, nodes }));
-        }
-        let mut k = 0;
-        while k < open.len() && k < chain.len() && open[k] == chain[k] {
-            k += 1;
-        }
-        while open.len() > k {
-            if let Some((lo, hi)) = open.pop() {
-                let inner: Vec<u32> = closed.range(lo..hi).map(|(a, _)| *a).collect();
-                for a in inner {
-                    closed.remove(&a);
-                }
-                closed.insert(lo, hi);
+        while let Some(&top) = open.last() {
+            if tree.contains(top, s) {
+                break;
             }
+            closed[top as usize] = true;
+            open.pop();
         }
-        for &(lo, hi) in &chain[k..] {
-            if let Some((_, &chi)) = closed.range(..=lo).next_back() {
-                if lo < chi {
-                    return Err(VerifyError::at(p, i, SubtreeInterleaved));
-                }
+        let top = open.last().copied();
+        chain.clear();
+        let mut cur = Some(s);
+        while let Some(c) = cur.filter(|&c| Some(c) != top) {
+            chain.push(c);
+            cur = tree.parent(c);
+        }
+        for &a in chain.iter().rev() {
+            if closed[a as usize] {
+                return Err(cx.err(i, SubtreeInterleaved));
             }
-            open.push((lo, hi));
+            open.push(a);
         }
     }
 
@@ -624,19 +595,23 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     // A jump emitted by node `s` may target only ops of `s`'s own
     // subtree, or the single op just past its extent (the lowerer's
     // "end" label). Anything else jumps into the middle of some other
-    // node's merged region.
+    // node's merged region. `last[v]` is the last op index whose span
+    // lies in `v`'s subtree, folded child → parent in one backward
+    // sweep (children carry larger ids).
+    let mut last = vec![0usize; nodes as usize];
+    for (i, &s) in p.spans.iter().enumerate() {
+        last[s as usize] = i;
+    }
+    for v in (0..nodes).rev() {
+        if let Some(parent) = tree.parent(v) {
+            last[parent as usize] = last[parent as usize].max(last[v as usize]);
+        }
+    }
     for (i, op) in p.ops.iter().enumerate() {
         if let Some(to) = op_jump(op) {
-            let s = p.spans[i];
-            let cnt = p.node_expr(s).map_or(0, Expr::node_count);
-            let sub = s..s + cnt;
-            let extent_end = (0..n).rev().find(|&j| sub.contains(&p.spans[j])).unwrap_or(i);
+            let extent_end = last[p.spans[i] as usize];
             if (to as usize) > extent_end + 1 {
-                return Err(VerifyError::at(
-                    p,
-                    i,
-                    JumpEscapesRegion { to, region_end: extent_end },
-                ));
+                return Err(cx.err(i, JumpEscapesRegion { to, region_end: extent_end }));
             }
         }
     }
@@ -644,24 +619,23 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
     // -- forward dataflow: init-before-use, checked columns, exit ---------
     // Jumps are strictly forward (checked above), so one in-order pass
     // reaches the fixpoint: every predecessor of op `i` has index < i.
+    // Each state is consumed by its op and moved to the fall-through
+    // successor; only a conditional jump copies it.
     let mut states: Vec<Option<Flow>> = vec![None; n + 1];
     states[0] = Some(Flow::empty(p.nregs));
     let mut written = vec![false; p.nregs];
     for i in 0..n {
-        let Some(flow) = states[i].clone() else { continue };
+        let Some(mut out) = states[i].take() else { continue };
         let op = &p.ops[i];
         for s in op_reads(op).into_iter().flatten() {
             match s {
-                Src::Reg(r) if !flow.reg(r) => {
-                    return Err(VerifyError::at(p, i, UninitRegisterRead { reg: r }))
-                }
-                Src::Col(c) if !flow.cols.contains(&c) => {
-                    return Err(VerifyError::at(p, i, UncheckedColumnRead { col: c }))
+                Src::Reg(r) if !out.reg(r) => return Err(cx.err(i, UninitRegisterRead { reg: r })),
+                Src::Col(c) if !out.cols.contains(&c) => {
+                    return Err(cx.err(i, UncheckedColumnRead { col: c }))
                 }
                 _ => {}
             }
         }
-        let mut out = flow;
         match op {
             Op::CheckCol { col } => {
                 out.cols.insert(*col);
@@ -675,7 +649,7 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
             _ => {
                 if let Some(d) = op_dst(op) {
                     if p.mode == Mode::Range && written[d as usize] {
-                        return Err(VerifyError::at(p, i, RegisterRewritten { reg: d }));
+                        return Err(cx.err(i, RegisterRewritten { reg: d }));
                     }
                     written[d as usize] = true;
                     out.set_reg(d);
@@ -683,12 +657,12 @@ pub fn check_structure(p: &Program) -> Result<(), VerifyError> {
             }
         }
         match op {
-            Op::Jump { to } => merge_flow(&mut states[*to as usize], &out),
+            Op::Jump { to } => merge_flow(&mut states[*to as usize], out),
             Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => {
-                merge_flow(&mut states[*to as usize], &out);
-                merge_flow(&mut states[i + 1], &out);
+                merge_flow(&mut states[*to as usize], out.clone());
+                merge_flow(&mut states[i + 1], out);
             }
-            _ => merge_flow(&mut states[i + 1], &out),
+            _ => merge_flow(&mut states[i + 1], out),
         }
     }
     let Some(exit) = &states[n] else {
@@ -859,9 +833,8 @@ fn abs_tag(rv: &RangeValue) -> Option<Abs> {
 /// The per-op proof obligation: every abstract output must itself
 /// satisfy `lb ≤ sg ≤ ub` (exact triples via the real total order,
 /// boolean triples via the implication chain, bands via `lo ≤ hi`).
-fn check_wf(p: &Program, i: usize, a: &Abs) -> Result<(), VerifyError> {
-    let violation =
-        |detail: String| Err(VerifyError::at(p, i, VerifyErrorKind::BoundViolation { detail }));
+fn check_wf(cx: &Ctx<'_>, i: usize, a: &Abs) -> Result<(), VerifyError> {
+    let violation = |detail: String| Err(cx.err(i, VerifyErrorKind::BoundViolation { detail }));
     match a {
         Abs::Exact(rv) => {
             use std::cmp::Ordering::Greater;
@@ -901,9 +874,9 @@ fn error_lint(e: &EvalError) -> LintKind {
 /// Is the condition behind op `i` a literal `Const` in the source? A
 /// constant branch on a literal is idiomatic (`lit(true)` predicates,
 /// `Expr::conj(vec![])`), so [`LintKind::ConstantCondition`] skips it.
-fn literal_condition(p: &Program, i: usize) -> bool {
-    let Some(node) = p.spans.get(i) else { return false };
-    match p.node_expr(*node) {
+fn literal_condition(cx: &Ctx<'_>, i: usize) -> bool {
+    let Some(node) = cx.p.spans.get(i) else { return false };
+    match cx.nodes.expr(*node) {
         Some(Expr::And(a, _)) | Some(Expr::Or(a, _)) | Some(Expr::If(a, _, _)) => {
             matches!(**a, Expr::Const(_))
         }
@@ -916,10 +889,11 @@ fn literal_condition(p: &Program, i: usize) -> bool {
 /// collected along the way (sorted by op index); a hard error means the
 /// program must not execute.
 pub fn check_abstract(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
-    check_translation(p)?;
+    let cx = Ctx::new(p);
+    check_translation(&cx)?;
     let mut lints = match p.mode {
-        Mode::Range => interpret_range(p)?,
-        Mode::Det => interpret_det(p)?,
+        Mode::Range => interpret_range(&cx)?,
+        Mode::Det => interpret_det(&cx)?,
     };
     lints.sort_by_key(|l| (l.op, l.kind));
     Ok(lints)
@@ -930,14 +904,15 @@ pub fn check_abstract(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
 /// lowerer is deterministic, so any divergence means the op stream no
 /// longer implements its sources (cache corruption, a tampered
 /// program, or a non-deterministic lowerer bug).
-fn check_translation(p: &Program) -> Result<(), VerifyError> {
+fn check_translation(cx: &Ctx<'_>) -> Result<(), VerifyError> {
+    let p = cx.p;
     let q = p.relower();
     let diverged = |detail: String, op: Option<usize>| {
-        let mut e = VerifyError::global(VerifyErrorKind::TranslationDivergence { detail });
-        if let Some(i) = op {
-            e = VerifyError::at(p, i, e.kind);
-        }
-        Err(e)
+        let kind = VerifyErrorKind::TranslationDivergence { detail };
+        Err(match op {
+            Some(i) => cx.err(i, kind),
+            None => VerifyError::global(kind),
+        })
     };
     if p.ops.len() != q.ops.len() {
         return diverged(format!("{} ops, re-lowering has {}", p.ops.len(), q.ops.len()), None);
@@ -975,7 +950,7 @@ fn check_translation(p: &Program) -> Result<(), VerifyError> {
 /// the three-valued component function.
 #[allow(clippy::too_many_arguments)]
 fn bool_transfer(
-    p: &Program,
+    cx: &Ctx<'_>,
     i: usize,
     a: &Abs,
     b: &Abs,
@@ -987,14 +962,14 @@ fn bool_transfer(
         return match comb(x, y) {
             Ok(v) => Abs::Exact(v),
             Err(e) => {
-                lints.push(lint(p, i, error_lint(&e)));
+                lints.push(cx.lint(i, error_lint(&e)));
                 Abs::Top
             }
         };
     }
     match (a.as_bool3(), b.as_bool3()) {
         (Err(()), _) | (_, Err(())) => {
-            lints.push(lint(p, i, LintKind::CertainTypeError));
+            lints.push(cx.lint(i, LintKind::CertainTypeError));
             Abs::Top
         }
         (Ok((l1, s1, u1)), Ok((l2, s2, u2))) => {
@@ -1023,7 +998,7 @@ fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
 /// certainly-non-numeric operands lint, numeric operands propagate
 /// their band through `band_op`.
 fn arith_transfer(
-    p: &Program,
+    cx: &Ctx<'_>,
     i: usize,
     a: &Abs,
     b: &Abs,
@@ -1035,13 +1010,13 @@ fn arith_transfer(
         return match comb(x, y) {
             Ok(v) => Abs::Exact(v),
             Err(e) => {
-                lints.push(lint(p, i, error_lint(&e)));
+                lints.push(cx.lint(i, error_lint(&e)));
                 Abs::Top
             }
         };
     }
     if a.certainly_non_numeric() || b.certainly_non_numeric() {
-        lints.push(lint(p, i, LintKind::CertainTypeError));
+        lints.push(cx.lint(i, LintKind::CertainTypeError));
         return Abs::Top;
     }
     match (a.band(), b.band()) {
@@ -1058,7 +1033,8 @@ fn mul_band((al, ah): (f64, f64), (bl, bh): (f64, f64)) -> Abs {
 }
 
 /// Abstract interpretation of a range program (straight-line, one pass).
-fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
+fn interpret_range(cx: &Ctx<'_>) -> Result<Vec<ProgramLint>, VerifyError> {
+    let p = cx.p;
     let mut lints = Vec::new();
     let mut regs: Vec<Abs> = vec![Abs::Bot; p.nregs];
     let src_abs = |regs: &[Abs], s: Src| -> Abs {
@@ -1070,7 +1046,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
     };
     for (i, op) in p.ops.iter().enumerate() {
         let write = |regs: &mut Vec<Abs>, dst: Reg, a: Abs| -> Result<(), VerifyError> {
-            check_wf(p, i, &a)?;
+            check_wf(cx, i, &a)?;
             regs[dst as usize] = a;
             Ok(())
         };
@@ -1078,12 +1054,12 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             Op::CheckCol { .. } => {}
             Op::RangeAnd { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = bool_transfer(p, i, &x, &y, range_and, and3, &mut lints);
+                let v = bool_transfer(cx, i, &x, &y, range_and, and3, &mut lints);
                 write(&mut regs, *dst, v)?;
             }
             Op::RangeOr { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = bool_transfer(p, i, &x, &y, range_or, or3, &mut lints);
+                let v = bool_transfer(cx, i, &x, &y, range_or, or3, &mut lints);
                 write(&mut regs, *dst, v)?;
             }
             Op::RangeNot { a, dst } => {
@@ -1092,7 +1068,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match range_not(rv) {
                         Ok(v) => Abs::Exact(v),
                         Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
+                            lints.push(cx.lint(i, error_lint(&e)));
                             Abs::Top
                         }
                     }
@@ -1103,7 +1079,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                             Abs::Bool { lb: u.map(|b| !b), sg: s.map(|b| !b), ub: l.map(|b| !b) }
                         }
                         Err(()) => {
-                            lints.push(lint(p, i, LintKind::CertainTypeError));
+                            lints.push(cx.lint(i, LintKind::CertainTypeError));
                             Abs::Top
                         }
                     }
@@ -1127,7 +1103,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             Op::RangeAdd { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
                 let v = arith_transfer(
-                    p,
+                    cx,
                     i,
                     &x,
                     &y,
@@ -1140,7 +1116,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             Op::RangeSub { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
                 let v = arith_transfer(
-                    p,
+                    cx,
                     i,
                     &x,
                     &y,
@@ -1152,7 +1128,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             }
             Op::RangeMul { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
-                let v = arith_transfer(p, i, &x, &y, range_mul, mul_band, &mut lints);
+                let v = arith_transfer(cx, i, &x, &y, range_mul, mul_band, &mut lints);
                 write(&mut regs, *dst, v)?;
             }
             Op::RangeDiv { a, b, dst } => {
@@ -1163,7 +1139,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                 // truncates, so corner quotients are not attained
                 // bounds).
                 let v = arith_transfer(
-                    p,
+                    cx,
                     i,
                     &x,
                     &y,
@@ -1179,12 +1155,12 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match range_neg(rv) {
                         Ok(v) => Abs::Exact(v),
                         Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
+                            lints.push(cx.lint(i, error_lint(&e)));
                             Abs::Top
                         }
                     }
                 } else if x.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
+                    lints.push(cx.lint(i, LintKind::CertainTypeError));
                     Abs::Top
                 } else if let Some((lo, hi)) = x.band() {
                     num_band(-hi, -lo)
@@ -1194,10 +1170,10 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                 write(&mut regs, *dst, v)?;
             }
             Op::RangeCheckBool3 { src } => match src_abs(&regs, *src).as_bool3() {
-                Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
+                Err(()) => lints.push(cx.lint(i, LintKind::CertainTypeError)),
                 Ok((Some(l), Some(s), Some(u))) if l == u && s == l => {
-                    if !literal_condition(p, i) {
-                        lints.push(lint(p, i, LintKind::ConstantCondition));
+                    if !literal_condition(cx, i) {
+                        lints.push(cx.lint(i, LintKind::ConstantCondition));
                     }
                 }
                 Ok(_) => {}
@@ -1208,7 +1184,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match range_if_merge(cr, tr.clone(), er.clone()) {
                         Ok(v) => Abs::Exact(v),
                         Err(e2) => {
-                            lints.push(lint(p, i, error_lint(&e2)));
+                            lints.push(cx.lint(i, error_lint(&e2)));
                             Abs::Top
                         }
                     }
@@ -1228,7 +1204,7 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match range_uncertain(lr, sr, ur) {
                         Ok(v) => Abs::Exact(v),
                         Err(e2) => {
-                            lints.push(lint(p, i, error_lint(&e2)));
+                            lints.push(cx.lint(i, error_lint(&e2)));
                             Abs::Top
                         }
                     }
@@ -1262,36 +1238,117 @@ fn interpret_range(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
     for (i, op) in p.ops.iter().enumerate() {
         if let Some(d) = op_dst(op) {
             if !read[d as usize] {
-                lints.push(lint(p, i, LintKind::DeadRegister));
+                lints.push(cx.lint(i, LintKind::DeadRegister));
             }
         }
     }
     Ok(lints)
 }
 
+/// Children per node of an [`AbsRegs`] tree.
+const FANOUT: usize = 8;
+
+#[derive(Clone)]
+enum RegNode {
+    Inner(Vec<Rc<RegNode>>),
+    Leaf(Vec<Abs>),
+}
+
+/// A det-mode abstract register file as a persistent radix tree with
+/// [`FANOUT`]-wide nodes. Copying a state at a conditional jump is one
+/// pointer copy, a write copies only the nodes on its register's path
+/// that other states still share, and a join descends only into
+/// subtrees the two states do not share (`x ⊔ x = x`): copies are O(1),
+/// and writes and joins cost O(log registers) per changed register.
+#[derive(Clone)]
+struct AbsRegs {
+    root: Rc<RegNode>,
+    /// Registers covered by each child of the root (1 for a leaf root).
+    stride: usize,
+}
+
+impl AbsRegs {
+    /// `nregs` registers, all `Bot`, every leaf shared.
+    fn new(nregs: usize) -> AbsRegs {
+        let mut root = Rc::new(RegNode::Leaf(vec![Abs::Bot; FANOUT]));
+        let mut stride = 1;
+        while stride * FANOUT < nregs {
+            root = Rc::new(RegNode::Inner(vec![root; FANOUT]));
+            stride *= FANOUT;
+        }
+        AbsRegs { root, stride }
+    }
+
+    fn get(&self, r: Reg) -> &Abs {
+        let (mut node, mut stride) = (&*self.root, self.stride);
+        loop {
+            match node {
+                RegNode::Inner(kids) => node = &kids[r as usize / stride % FANOUT],
+                RegNode::Leaf(vals) => return &vals[r as usize % FANOUT],
+            }
+            stride /= FANOUT;
+        }
+    }
+
+    fn set(&mut self, r: Reg, v: Abs) {
+        let (mut node, mut stride) = (Rc::make_mut(&mut self.root), self.stride);
+        loop {
+            node = match node {
+                RegNode::Inner(kids) => Rc::make_mut(&mut kids[r as usize / stride % FANOUT]),
+                RegNode::Leaf(vals) => {
+                    vals[r as usize % FANOUT] = v;
+                    return;
+                }
+            };
+            stride /= FANOUT;
+        }
+    }
+
+    fn join(&mut self, other: &AbsRegs) {
+        fn join_node(a: &mut Rc<RegNode>, b: &Rc<RegNode>) {
+            if Rc::ptr_eq(a, b) {
+                return;
+            }
+            match (Rc::make_mut(a), &**b) {
+                (RegNode::Inner(xs), RegNode::Inner(ys)) => {
+                    for (x, y) in xs.iter_mut().zip(ys) {
+                        join_node(x, y);
+                    }
+                }
+                (RegNode::Leaf(xs), RegNode::Leaf(ys)) => {
+                    for (x, y) in xs.iter_mut().zip(ys) {
+                        *x = x.join(y);
+                    }
+                }
+                _ => unreachable!("register trees of one program have one shape"),
+            }
+        }
+        join_node(&mut self.root, &other.root);
+    }
+}
+
 /// Abstract interpretation of a det program: forward dataflow over the
 /// jump CFG (jumps are strictly forward per Tier A, so one in-order
 /// pass reaches the fixpoint), joining register states at merge points.
-fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
+fn interpret_det(cx: &Ctx<'_>) -> Result<Vec<ProgramLint>, VerifyError> {
+    let p = cx.p;
     let mut lints = Vec::new();
     let n = p.ops.len();
-    let mut states: Vec<Option<Vec<Abs>>> = vec![None; n + 1];
-    states[0] = Some(vec![Abs::Bot; p.nregs]);
+    let mut states: Vec<Option<AbsRegs>> = vec![None; n + 1];
+    states[0] = Some(AbsRegs::new(p.nregs));
     let certain = |v: &Value| Abs::Exact(RangeValue::certain(v.clone()));
-    let src_abs = |regs: &[Abs], s: Src| -> Abs {
+    let src_abs = |regs: &AbsRegs, s: Src| -> Abs {
         match s {
-            Src::Reg(r) => regs[r as usize].clone(),
+            Src::Reg(r) => regs.get(r).clone(),
             Src::Col(_) => Abs::Top,
             Src::Const(k) => Abs::Exact(RangeValue::certain(p.consts[k as usize].clone())),
         }
     };
-    let merge = |slot: &mut Option<Vec<Abs>>, incoming: &[Abs]| match slot {
-        None => *slot = Some(incoming.to_vec()),
-        Some(prev) => {
-            for (a, b) in prev.iter_mut().zip(incoming) {
-                *a = a.join(b);
-            }
-        }
+    // States move to the fall-through successor; only a conditional
+    // jump copies one, and that copy shares the whole tree.
+    let merge = |slot: &mut Option<AbsRegs>, incoming: AbsRegs| match slot {
+        None => *slot = Some(incoming),
+        Some(prev) => prev.join(&incoming),
     };
     // Det-mode constant folding works on the certain lift of a Value:
     // lift both operands, run the *range* combinator's det analog via
@@ -1301,8 +1358,8 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
             f(&x.sg, &y.sg).map(RangeValue::certain)
         };
     for i in 0..n {
-        let Some(mut regs) = states[i].clone() else {
-            lints.push(lint(p, i, LintKind::UnreachableOp));
+        let Some(mut regs) = states[i].take() else {
+            lints.push(cx.lint(i, LintKind::UnreachableOp));
             continue;
         };
         let op = &p.ops[i];
@@ -1310,8 +1367,8 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
         let mut conditional = false;
         match op {
             Op::CheckCol { .. } => {}
-            Op::LoadCol { dst, .. } => regs[*dst as usize] = Abs::Top,
-            Op::LoadConst { idx, dst } => regs[*dst as usize] = certain(&p.consts[*idx as usize]),
+            Op::LoadCol { dst, .. } => regs.set(*dst, Abs::Top),
+            Op::LoadConst { idx, dst } => regs.set(*dst, certain(&p.consts[*idx as usize])),
             Op::DetAdd { a, b, dst }
             | Op::DetSub { a, b, dst }
             | Op::DetMul { a, b, dst }
@@ -1327,12 +1384,12 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match fold2(xr, yr, vf) {
                         Ok(v) => Abs::Exact(v),
                         Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
+                            lints.push(cx.lint(i, error_lint(&e)));
                             Abs::Top
                         }
                     }
                 } else if x.certainly_non_numeric() || y.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
+                    lints.push(cx.lint(i, LintKind::CertainTypeError));
                     Abs::Top
                 } else {
                     match (op, x.band(), y.band()) {
@@ -1346,8 +1403,8 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                         _ => Abs::Top,
                     }
                 };
-                check_wf(p, i, &v)?;
-                regs[*dst as usize] = v;
+                check_wf(cx, i, &v)?;
+                regs.set(*dst, v);
             }
             Op::DetNeg { a, dst } => {
                 let x = src_abs(&regs, *a);
@@ -1355,20 +1412,20 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                     match xr.sg.neg() {
                         Ok(v) => certain(&v),
                         Err(e) => {
-                            lints.push(lint(p, i, error_lint(&e)));
+                            lints.push(cx.lint(i, error_lint(&e)));
                             Abs::Top
                         }
                     }
                 } else if x.certainly_non_numeric() {
-                    lints.push(lint(p, i, LintKind::CertainTypeError));
+                    lints.push(cx.lint(i, LintKind::CertainTypeError));
                     Abs::Top
                 } else if let Some((lo, hi)) = x.band() {
                     num_band(-hi, -lo)
                 } else {
                     Abs::Top
                 };
-                check_wf(p, i, &v)?;
-                regs[*dst as usize] = v;
+                check_wf(cx, i, &v)?;
+                regs.set(*dst, v);
             }
             Op::DetEq { a, b, dst } | Op::DetLeq { a, b, dst } | Op::DetLt { a, b, dst } => {
                 let (x, y) = (src_abs(&regs, *a), src_abs(&regs, *b));
@@ -1382,13 +1439,13 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                 } else {
                     Abs::Bool { lb: None, sg: None, ub: None }
                 };
-                regs[*dst as usize] = v;
+                regs.set(*dst, v);
             }
             Op::DetNot { a, dst } | Op::DetAsBool { src: a, dst } => {
                 let x = src_abs(&regs, *a);
                 let v = match x.as_bool3() {
                     Err(()) => {
-                        lints.push(lint(p, i, LintKind::CertainTypeError));
+                        lints.push(cx.lint(i, LintKind::CertainTypeError));
                         Abs::Top
                     }
                     Ok((_, s, _)) => {
@@ -1399,17 +1456,17 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
                         }
                     }
                 };
-                regs[*dst as usize] = v;
+                regs.set(*dst, v);
             }
             Op::Jump { to } => jump_taken = Some(*to),
             Op::JumpIfFalse { src, to } | Op::JumpIfTrue { src, to } => {
                 conditional = true;
                 jump_taken = Some(*to);
                 match src_abs(&regs, *src).as_bool3() {
-                    Err(()) => lints.push(lint(p, i, LintKind::CertainTypeError)),
+                    Err(()) => lints.push(cx.lint(i, LintKind::CertainTypeError)),
                     Ok((_, Some(_), _)) => {
-                        if !literal_condition(p, i) {
-                            lints.push(lint(p, i, LintKind::ConstantCondition));
+                        if !literal_condition(cx, i) {
+                            lints.push(cx.lint(i, LintKind::ConstantCondition));
                         }
                     }
                     Ok(_) => {}
@@ -1419,11 +1476,11 @@ fn interpret_det(p: &Program) -> Result<Vec<ProgramLint>, VerifyError> {
         }
         match (jump_taken, conditional) {
             (Some(to), true) => {
-                merge(&mut states[to as usize], &regs);
-                merge(&mut states[i + 1], &regs);
+                merge(&mut states[to as usize], regs.clone());
+                merge(&mut states[i + 1], regs);
             }
-            (Some(to), false) => merge(&mut states[to as usize], &regs),
-            (None, _) => merge(&mut states[i + 1], &regs),
+            (Some(to), false) => merge(&mut states[to as usize], regs),
+            (None, _) => merge(&mut states[i + 1], regs),
         }
     }
     Ok(lints)
@@ -1777,6 +1834,7 @@ pub mod mutate {
 mod tests {
     use super::*;
     use crate::{col, lit};
+    use std::collections::BTreeMap;
 
     fn corpus() -> Vec<Expr> {
         vec![
@@ -1887,6 +1945,109 @@ mod tests {
         assert_eq!(p.verify_full().unwrap(), vec![]);
         let p = Program::compile_range(&Expr::if_then_else(lit(true), col(0), col(1)));
         assert_eq!(p.verify_full().unwrap(), vec![]);
+    }
+
+    proptest::proptest! {
+        /// The persistent register tree of the det abstract interpreter
+        /// behaves like a plain vector under any mix of writes, state
+        /// copies and joins, across one- to three-level trees.
+        #[test]
+        fn abs_regs_match_a_flat_vector(
+            nregs in 1usize..600,
+            steps in proptest::collection::vec((0u8..3, 0usize..64, 0usize..1024, 0usize..6), 1..300),
+        ) {
+            let palette = [
+                Abs::Bot,
+                Abs::Top,
+                Abs::Exact(RangeValue::certain(Value::Int(3))),
+                Abs::Num { lo: -1.0, hi: 2.0 },
+                Abs::Bool { lb: Some(false), sg: None, ub: Some(true) },
+                Abs::Other,
+            ];
+            let mut states = vec![(AbsRegs::new(nregs), vec![Abs::Bot; nregs])];
+            for (kind, a, b, v) in steps {
+                let (a, r) = (a % states.len(), b % nregs);
+                match kind {
+                    0 => {
+                        states[a].0.set(r as Reg, palette[v].clone());
+                        states[a].1[r] = palette[v].clone();
+                    }
+                    1 => states.push(states[a].clone()),
+                    _ => {
+                        let other = states[b % states.len()].clone();
+                        states[a].0.join(&other.0);
+                        for (x, y) in states[a].1.iter_mut().zip(&other.1) {
+                            *x = x.join(y);
+                        }
+                    }
+                }
+            }
+            for (tree, flat) in &states {
+                for (r, want) in flat.iter().enumerate() {
+                    proptest::prop_assert_eq!(tree.get(r as Reg), want);
+                }
+            }
+        }
+    }
+
+    /// `b + 1 + … + 1 < 3` with `terms` terms (`b` is column 0).
+    fn chain(terms: usize) -> Expr {
+        (1..terms).fold(col(0), |e, _| e.add(lit(1i64))).lt(lit(3i64))
+    }
+
+    /// Tier A's O(ops + nodes) paths at scale: hand-corrupted 2k-term
+    /// programs are rejected for an interleaved subtree span, a jump
+    /// escaping its region, and a bad node offset.
+    ///
+    /// Lowering, `Clone`, `Drop` and `Display` of `Expr` still recurse
+    /// once per tree level, which a 2k-deep chain in an unoptimized
+    /// build takes past the default 2 MB test-thread stack, so the body
+    /// runs on a thread with a larger one.
+    #[test]
+    fn long_chain_corruptions_rejected() {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(long_chain_corruptions)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn long_chain_corruptions() {
+        use VerifyErrorKind::*;
+        let kind = |q: &Program| q.verify().expect_err("corruption accepted").kind;
+
+        // A late op re-enters the leaf `b`, whose subtree (and that of
+        // every `+` between it and the op) closed at the first ops.
+        let p = Program::compile_range(&chain(2_000));
+        assert_eq!(p.verify_full().unwrap(), vec![]);
+        let mut q = p.clone();
+        let k = q.ops.len() / 2;
+        q.spans[k] = q.spans[0];
+        assert_eq!(kind(&q), SubtreeInterleaved);
+
+        // Each `AND` of a det conjunction chain jumps to the op just past
+        // its own region; one op further lands inside the parent's.
+        let conj = Expr::conj((0..2_000).map(|k| col(0).lt(lit(k as i64))).collect());
+        let p = Program::compile_det(&conj);
+        p.verify_full().unwrap();
+        let jumps: Vec<usize> =
+            (0..p.ops.len()).filter(|&i| op_jump(&p.ops[i]).is_some()).collect();
+        assert_eq!(jumps.len(), 1_999);
+        let mut q = p.clone();
+        if let Op::JumpIfFalse { to, .. } = &mut q.ops[jumps[jumps.len() / 2]] {
+            *to += 1;
+        }
+        assert!(matches!(kind(&q), JumpEscapesRegion { .. }), "{:?}", kind(&q));
+
+        // Node offsets of a two-source program: the second source's root
+        // and the total-count sentinel.
+        let p = Program::compile_range_many(&[chain(2_000), chain(2_000)]);
+        for slot in [1, 2] {
+            let mut q = p.clone();
+            q.node_offsets[slot] += 1;
+            assert!(matches!(kind(&q), NodeTableInvalid { .. }), "{:?}", kind(&q));
+        }
     }
 
     /// Diagnostics name the offending op and its source node.

@@ -9,8 +9,8 @@
 //! [`crate::vcheck::with_tampered_programs`]. Every compile site
 //! ([`crate::vcheck::Vet`]) consults the installed cache before
 //! lowering; a hit skips lowering *and* the Tier B abstract
-//! interpretation, but still re-runs the cheap structural Tier A check
-//! — PR 8's doctrine that Tier A gates cached programs stays intact.
+//! interpretation, but still re-runs the structural Tier A check
+//! (O(ops + nodes)): Tier A gates every cached program before it runs.
 //!
 //! Coherence is the *caller's* contract: a cache must only be shared
 //! across evaluations of the same logical plan against the same

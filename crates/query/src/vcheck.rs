@@ -132,18 +132,21 @@ impl<'a> Vet<'a> {
         // Prepared-plan reuse: an installed program cache
         // ([`crate::prepare::with_program_cache`]) is consulted before
         // lowering. A hit skips compilation and Tier B, but the cached
-        // program still passes the cheap structural Tier A gate before
-        // it executes — a corrupted cache degrades to a recompile, not
-        // a suspect program.
+        // program still passes the structural Tier A gate, O(ops +
+        // nodes), before it executes — a corrupted cache degrades to a
+        // recompile, not a suspect program. The span times the check
+        // itself and records its verdict either way.
         let cache = crate::prepare::current();
         let cache_key = cache.as_ref().map(|_| key());
         if let (Some(cache), Some(k)) = (&cache, &cache_key) {
             if let Some(p) = cache.lookup(k) {
-                if p.verify().is_ok() {
-                    let h = self.tr.open("verify", || "cached".to_string());
-                    self.tr.attr(h, "tier", || "A".to_string());
-                    self.tr.attr(h, "verdict", || "accepted".to_string());
-                    self.tr.close(h, None, None);
+                let h = self.tr.open("verify", || "cached".to_string());
+                self.tr.attr(h, "tier", || "A".to_string());
+                let accepted = p.verify().is_ok();
+                let verdict = if accepted { "accepted" } else { "rejected" };
+                self.tr.attr(h, "verdict", || verdict.to_string());
+                self.tr.close(h, None, None);
+                if accepted {
                     return Some(p);
                 }
             }

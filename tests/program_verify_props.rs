@@ -293,6 +293,59 @@ fn rejection_ticks_counter_and_event() {
     assert!(saw_rejected_span, "expected a rejected verify span in:\n{}", trace.render_text());
 }
 
+/// Replace a program with its first span-misattributing mutant that
+/// Tier A rejects, if any. Spans are diagnostic metadata, so the
+/// corrupted program still evaluates exactly like the original.
+fn misattribute_spans(p: Program) -> Program {
+    mutate::mutants(&p)
+        .into_iter()
+        .find(|m| m.class == "corrupt_span" && m.program.verify().is_err())
+        .map_or(p, |m| m.program)
+}
+
+/// A prepared hit whose cached program fails Tier A is visible in the
+/// trace: the `verify` span of the cached check (tier `A`) carries
+/// `verdict=rejected`, the stage recompiles through Tier A+B, and the
+/// result is unchanged.
+#[test]
+fn cached_tier_a_rejection_records_span() {
+    use audb::query::{with_program_cache, ProgramCache};
+    use std::sync::Arc;
+
+    let db = two_row_db();
+    let q = table("t").select(col(0).leq(col(1))).project(vec![(col(0).add(col(1)), "s")]);
+    let oracle = eval_au(&db, &q, &AuConfig { compiled: false, ..AuConfig::default() });
+
+    // Warm the cache with corrupted programs: with `verify` off they are
+    // stored without a Tier B check.
+    let cache = Arc::new(ProgramCache::new());
+    let unvetted = AuConfig { verify: false, ..AuConfig::default() };
+    let warm = with_program_cache(Arc::clone(&cache), || {
+        with_tampered_programs(misattribute_spans, || eval_au(&db, &q, &unvetted))
+    });
+    assert_eq!(warm, oracle);
+    assert!(!cache.is_empty());
+
+    let (result, trace) =
+        with_program_cache(cache, || eval_au_traced_full(&db, &q, &AuConfig::default()));
+    assert_eq!(result, oracle);
+    let (mut rejected, mut recompiled) = (0, 0);
+    trace.root.walk(&mut |s| {
+        if s.op == "verify" && s.detail == "cached" {
+            assert_eq!(s.attr("tier"), Some("A"), "span: {s:?}");
+            if s.attr("verdict") == Some("rejected") {
+                rejected += 1;
+            }
+        }
+        if s.op == "verify" && s.attr("tier") == Some("A+B") {
+            assert_eq!(s.attr("verdict"), Some("accepted"), "span: {s:?}");
+            recompiled += 1;
+        }
+    });
+    assert!(rejected >= 1, "expected a rejected cached verify span in:\n{}", trace.render_text());
+    assert_eq!(rejected, recompiled, "every rejected hit recompiles:\n{}", trace.render_text());
+}
+
 /// Untampered compiles are observable too: a traced evaluation with
 /// verification on records accepted `verify` spans (tier and op-count
 /// attributes included) and zero rejections.

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use audb::core::{col, lit, BudgetSpec, EvalError, ExecError};
 use audb::prelude::*;
+use audb::query::sql::MAX_NESTING;
 use audb::serve::{Class, ClassPolicy, Engine, EngineConfig, ServeError};
 use audb::workloads::{micro_join_db, MicroConfig};
 
@@ -90,6 +91,25 @@ fn parse_errors_are_final_query_verdicts() {
     assert!(matches!(err, ServeError::Query(_)), "{err}");
     // the engine stays live
     engine.execute(&join_query(), Class::Interactive).unwrap();
+}
+
+/// SQL nested past the parser's cap is a structured query error, not a
+/// stack overflow: 10^5 nested parentheses come back as
+/// `LimitExceeded` through `parse_sql` and `Engine::execute_sql`
+/// alike, and the engine keeps serving.
+#[test]
+fn deeply_nested_sql_is_a_limit_error() {
+    let db = micro(10, 1);
+    let engine = Engine::new(db.clone(), small_config());
+    let depth = 100_000;
+    let sql = format!("SELECT a0 FROM t1 WHERE {}a1{} >= 1", "(".repeat(depth), ")".repeat(depth));
+    let too_deep = EvalError::LimitExceeded { limit: "SQL nesting depth", max: MAX_NESTING };
+    assert_eq!(parse_sql(&sql, &db).unwrap_err(), too_deep);
+    let err = engine.execute_sql(&sql, Class::Interactive).unwrap_err();
+    assert!(matches!(&err, ServeError::Query(e) if *e == too_deep), "{err}");
+    // nesting under the cap is served
+    let shallow = format!("SELECT a0 FROM t1 WHERE {}a1{} >= 1", "(".repeat(8), ")".repeat(8));
+    engine.execute_sql(&shallow, Class::Interactive).unwrap();
 }
 
 #[test]
